@@ -6,9 +6,11 @@ cone under positive scaling, so maximizing
     L(phi) = mean_i log h(phi(X_i)) - integral h(phi)
 
 over concave piecewise-linear phi with knots at the data points yields a
-maximizer whose integral is automatically 1.  The solver is projected gradient
-ascent (pool-adjacent-violators on slopes as the projection) with
-Barzilai-Borwein steps, backtracking, and a Newton polish on the active kinks.
+maximizer whose integral is automatically 1.  The solver is an active-set
+method in kink space: phi is linear between its kinks, so on a fixed kink set
+the objective, its gradient and its exact tridiagonal Hessian depend on the
+kink values only.  Damped Newton steps solve each reduced problem; kinks enter
+through an exact tangent-cone (hinge) certificate and leave when they flatten.
 
 For s < -1 no maximizer exists; ``demonstrate_nonexistence`` evaluates the
 diverging one-parameter likelihood path that witnesses it.
@@ -45,9 +47,6 @@ class FitConfig:
     # default leaves room for samples up to ~10^10 points
     integral_tol: float = 1e-5
     backtrack_shrink: float = 0.5
-    initial_step: float = 1.0
-    newton_rounds: int = 30
-    max_newton_kinks: int = 400
 
     def __post_init__(self):
         if not self.s > -1.0:
@@ -97,8 +96,13 @@ def existence_threshold(s: float) -> int:
 # Objective: per-segment closed forms and their partials
 # ----------------------------------------------------------------------
 
-def _exprel(d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """E(d) = (exp(d)-1)/d and its derivative, stable near d = 0."""
+def _exprel(d: np.ndarray, second: bool = False) -> Tuple[np.ndarray, ...]:
+    """E(d) = (exp(d)-1)/d and its derivative, stable near d = 0.
+
+    With ``second`` also returns E''(d) = integral_0^1 t^2 exp(d t) dt.  Its
+    closed form cancels to O(eps/d^2), so it switches to the series
+    sum_k d^k / (k! (k+3)) below |d| = 0.05, where both err by about 1e-13.
+    """
     E = np.empty_like(d)
     Ep = np.empty_like(d)
     near = np.abs(d) < 1e-4
@@ -109,11 +113,26 @@ def _exprel(d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     df = d[far]
     E[far] = np.expm1(df) / df
     Ep[far] = (np.exp(df) * (df - 1.0) + 1.0) / df ** 2
-    return E, Ep
+    if not second:
+        return E, Ep
+    Epp = np.empty_like(d)
+    near = np.abs(d) < 0.05
+    dn = d[near]
+    Epp[near] = 1.0 / 3.0 + dn * (1.0 / 4.0 + dn * (1.0 / 10.0 + dn * (
+        1.0 / 36.0 + dn * (1.0 / 168.0 + dn * (1.0 / 960.0 + dn / 6480.0)))))
+    df = d[~near]
+    Epp[~near] = (np.expm1(df) * (df * (df - 2.0) + 2.0) + df * (df - 2.0)) / df ** 3
+    return E, Ep, Epp
 
 
-def _power_mean_g(rho: np.ndarray, q: float) -> Tuple[np.ndarray, np.ndarray]:
-    """g(rho) = integral_0^1 (1 + rho t)^q dt and g', stable near rho = 0."""
+def _power_mean_g(rho: np.ndarray, q: float, second: bool = False
+                  ) -> Tuple[np.ndarray, ...]:
+    """g(rho) = integral_0^1 (1 + rho t)^q dt and g', stable near rho = 0.
+
+    With ``second`` also returns g''.  Differentiating rho g' + g = (1+rho)^q
+    gives rho g'' = q (1+rho)^(q-1) - 2 g', which cancels to O(eps/rho^2); below
+    |rho| = 1e-2 the series sum_k q (q-1) ... (q-k-1) rho^k / (k! (k+3)) is used.
+    """
     g = np.empty_like(rho)
     gp = np.empty_like(rho)
     near = np.abs(rho) < 1e-4
@@ -131,7 +150,63 @@ def _power_mean_g(rho: np.ndarray, q: float) -> Tuple[np.ndarray, np.ndarray]:
         g[far] = (np.power(1.0 + rf, q + 1.0) - 1.0) / (rf * (q + 1.0))
         gp[far] = (np.power(1.0 + rf, q) * rf * (q + 1.0)
                    - (np.power(1.0 + rf, q + 1.0) - 1.0)) / (rf ** 2 * (q + 1.0))
-    return g, gp
+    if not second:
+        return g, gp
+    gpp = np.empty_like(rho)
+    near = np.abs(rho) < 1e-2
+    coefs, falling, fact = [], q * (q - 1.0), 1.0
+    for k in range(7):
+        coefs.append(falling / (fact * (k + 3.0)))
+        falling *= q - k - 2.0
+        fact *= k + 1.0
+    rn = rho[near]
+    acc = np.full_like(rn, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        acc = acc * rn + c
+    gpp[near] = acc
+    rf = rho[~near]
+    gpp[~near] = (q * np.power(1.0 + rf, q - 1.0) - 2.0 * gp[~near]) / rf
+    return g, gp, gpp
+
+
+def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
+                      second: bool = False) -> Tuple[np.ndarray, ...]:
+    """Integrals of h(phi) over linear segments and their partials in the end values.
+
+    Returns (seg, d_l, d_r), and with ``second`` also (d_ll, d_lr, d_rr).  Only
+    d_rr needs a kernel's second derivative; the other two follow from Euler
+    relations, differentiated in each end value: the integral scales by e^t
+    under the shift (vl, vr) -> (vl + t, vr + t) for s = 0, so d_l + d_r = seg,
+    and is homogeneous of degree q = 1/s in |phi| otherwise, so
+    |vl| d_l + |vr| d_r = q seg.
+    """
+    if s == 0:
+        E, Ep, *Epp = _exprel(vr - vl, second)
+        scale = dx * np.exp(vl)
+        seg = scale * E
+        d_l = scale * (E - Ep)
+        d_r = scale * Ep
+        if not second:
+            return seg, d_l, d_r
+        d_rr = scale * Epp[0]
+        d_lr = d_r - d_rr
+        return seg, d_l, d_r, d_l - d_lr, d_lr, d_rr
+    q = 1.0 / s
+    ul, ur = (-vl, -vr) if s < 0 else (vl, vr)
+    rho = ur / ul - 1.0
+    g, gp, *gpp = _power_mean_g(rho, q, second)
+    scale = dx * np.power(ul, q)
+    seg = scale * g
+    scale = scale / ul
+    i_l = scale * (q * g - gp * (1.0 + rho))
+    i_r = scale * gp
+    sign = -1.0 if s < 0 else 1.0
+    if not second:
+        return seg, sign * i_l, sign * i_r
+    d_rr = scale / ul * gpp[0]
+    d_lr = ((q - 1.0) * i_r - ur * d_rr) / ul
+    d_ll = ((q - 1.0) * i_l - ur * d_lr) / ul
+    return seg, sign * i_l, sign * i_r, d_ll, d_lr, d_rr
 
 
 class _Problem:
@@ -167,33 +242,16 @@ class _Problem:
 
     def value_and_grad(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
         """Objective mean-loglik-minus-integral and its gradient."""
-        w, dx, s = self.weights, self.dx, self.s
-        vl, vr = v[:-1], v[1:]
+        w, s = self.weights, self.s
         with np.errstate(over="ignore"):
             if s == 0:
                 term1 = float(np.dot(w, v))
                 g1 = w.copy()
-                d = vr - vl
-                E, Ep = _exprel(d)
-                expl = np.exp(vl)
-                seg = dx * expl * E
-                d_l = dx * expl * (E - Ep)
-                d_r = dx * expl * Ep
             else:
-                q = 1.0 / s
                 u = -v if s < 0 else v
-                term1 = float(np.dot(w, np.log(u)) * q)
+                term1 = float(np.dot(w, np.log(u)) * (1.0 / s))
                 g1 = 1.0 / (s * v) * w
-                ul, ur = u[:-1], u[1:]
-                rho = ur / ul - 1.0
-                g, gp = _power_mean_g(rho, q)
-                ulq = np.power(ul, q)
-                seg = dx * ulq * g
-                dI_dul = dx * ulq / ul * (q * g - gp * (1.0 + rho))
-                dI_dur = dx * ulq / ul * gp
-                sign = -1.0 if s < 0 else 1.0
-                d_l = sign * dI_dul
-                d_r = sign * dI_dur
+            seg, d_l, d_r = _segment_partials(self.dx, v[:-1], v[1:], s)
         total = float(np.sum(seg))
         if not math.isfinite(total) or not math.isfinite(term1):
             return -math.inf, np.full_like(v, np.nan)
@@ -228,7 +286,11 @@ def objective(values: Sequence[float], data: Sequence[float], s: float
 # ----------------------------------------------------------------------
 
 def _concavify(x: np.ndarray, v: np.ndarray, anchor_w: np.ndarray) -> np.ndarray:
-    """Project values onto the concave cone: PAV on slopes, mean-anchored."""
+    """Project values onto the concave cone: PAV on slopes, mean-anchored.
+
+    The rebuild may leave fp-level slope increases; callers that need an
+    exactly concave vector pass the result through ``_repair_concavity``.
+    """
     if v.size <= 2:
         return v.copy()
     dx = np.diff(x)
@@ -236,21 +298,27 @@ def _concavify(x: np.ndarray, v: np.ndarray, anchor_w: np.ndarray) -> np.ndarray
     iso = isotonic_regression(slopes, weights=dx, increasing=False).x
     rebuilt = np.concatenate(([0.0], np.cumsum(iso * dx)))
     rebuilt += np.average(v - rebuilt, weights=anchor_w)
-    return _repair_concavity(x, rebuilt)
+    return rebuilt
 
 
 def _repair_concavity(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Forward pass removing fp-level slope increases left by the rebuild."""
+    """Forward pass removing fp-level slope increases left by the rebuild.
+
+    The guard exceeds the floating-point resolution of the repaired slope,
+    so the slopes recomputed from the returned values never increase.
+    """
     dx = np.diff(x)
     slopes = np.diff(v) / dx
     if not np.any(np.diff(slopes) > 0):
         return v
     out = v.copy()
+    eps = np.finfo(float).eps
     s_prev = (out[1] - out[0]) / dx[0]
     for j in range(1, dx.size):
         s_j = (out[j + 1] - out[j]) / dx[j]
         if s_j > s_prev:
-            guard = 1e-13 * max(1.0, abs(s_prev))
+            guard = (1e-13 * max(1.0, abs(s_prev))
+                     + 4.0 * eps * max(abs(out[j]), abs(out[j + 1])) / dx[j])
             out[j + 1] = out[j] + (s_prev - guard) * dx[j]
             s_j = (out[j + 1] - out[j]) / dx[j]
         s_prev = s_j
@@ -261,6 +329,28 @@ def _constraint_values(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Slope increases c_i = s_i - s_{i-1} at interior knots (feasible: <= 0)."""
     slopes = np.diff(v) / np.diff(x)
     return np.diff(slopes)
+
+
+def _hinge_rates(x: np.ndarray, grad: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directional derivatives along the normalized hinges (x - x_j)_+.
+
+    Suffix sums give every interior knot j in O(n).  Returns (j, rate, norm),
+    where norm is the Euclidean length of the hinge over the knots.
+    """
+    n = x.size
+
+    def suffix(a):
+        return np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
+
+    g_suf, gx_suf = suffix(grad), suffix(grad * x)
+    x_suf, x2_suf = suffix(x), suffix(x * x)
+    cnt_suf = np.arange(n, -1, -1, dtype=float)
+    j = np.arange(1, n - 1)
+    pair = gx_suf[j + 1] - x[j] * g_suf[j + 1]
+    norm2 = x2_suf[j + 1] - 2.0 * x[j] * x_suf[j + 1] + x[j] ** 2 * cnt_suf[j + 1]
+    norm = np.sqrt(np.maximum(norm2, 1e-300))
+    return j, pair / norm, norm
 
 
 def _kkt_certificate(prob: _Problem, v: np.ndarray, grad: np.ndarray
@@ -287,18 +377,7 @@ def _kkt_certificate(prob: _Problem, v: np.ndarray, grad: np.ndarray
                 best_val = sgn * rate
                 best_dir = sgn * d / nv
     if n >= 3:
-        # suffix sums give every hinge pairing in O(n)
-        def suffix(a):
-            return np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-
-        g_suf, gx_suf = suffix(grad), suffix(grad * x)
-        x_suf, x2_suf = suffix(x), suffix(x * x)
-        cnt_suf = np.arange(n, -1, -1, dtype=float)
-        j = np.arange(1, n - 1)
-        pair = gx_suf[j + 1] - x[j] * g_suf[j + 1]
-        norm2 = x2_suf[j + 1] - 2.0 * x[j] * x_suf[j + 1] + x[j] ** 2 * cnt_suf[j + 1]
-        norm = np.sqrt(np.maximum(norm2, 1e-300))
-        rate = pair / norm
+        j, rate, norm = _hinge_rates(x, grad)
         c = _constraint_values(x, v)
         scale = max(1.0, float(np.max(np.abs(v))))
         slack = c < -1e-9 * scale  # c[i] is centered at knot i + 1
@@ -316,6 +395,12 @@ def _kkt_certificate(prob: _Problem, v: np.ndarray, grad: np.ndarray
 # ----------------------------------------------------------------------
 # Solver
 # ----------------------------------------------------------------------
+
+# The certificate is cheap to tighten while Newton converges quadratically:
+# refine to TARGET_TOL * grad_tol, solving each kink set to INNER_TOL * grad_tol.
+INNER_TOL = 1e-4
+TARGET_TOL = 1e-3
+
 
 def _pilot_values(prob: _Problem) -> np.ndarray:
     """Feasible start: the flat function matching the uniform density on the range."""
@@ -338,95 +423,97 @@ def _shift_feasible(prob: _Problem, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _banded_hessian(prob: _Problem, v: np.ndarray, grad: np.ndarray
-                    ) -> np.ndarray:
-    """Tridiagonal Hessian of the objective via 3-colored gradient differences.
-
-    Segments couple only adjacent knots, so perturbing every third knot
-    isolates the affected rows; three gradient evaluations recover the band.
-    Returned in LAPACK banded layout (rows: upper, diagonal, lower).
-    """
-    n = v.size
-    band = np.zeros((3, n))
-    delta = 1e-5 * max(1.0, float(np.max(np.abs(v))))
-    idx = np.arange(n)
-    for color in range(3):
-        mask = idx % 3 == color
-        if not np.any(mask):
-            continue
-        vp = v.copy()
-        vp[mask] += delta
-        _, gp = prob.value_and_grad(vp)
-        vm = v.copy()
-        vm[mask] -= delta
-        _, gm = prob.value_and_grad(vm)
-        if np.all(np.isfinite(gp)) and np.all(np.isfinite(gm)):
-            col_d = (gp - gm) / (2.0 * delta)
-        elif np.all(np.isfinite(gp)):
-            col_d = (gp - grad) / delta
-        elif np.all(np.isfinite(gm)):
-            col_d = (grad - gm) / delta
-        else:
-            continue
-        cols = idx[mask]
-        band[1, cols] = col_d[cols]                      # H[j, j]
-        up = cols[cols >= 1]
-        band[0, up] = col_d[up - 1]                      # H[j-1, j]
-        dn = cols[cols <= n - 2]
-        band[2, dn] = col_d[dn + 1]                      # H[j+1, j]
-    # symmetrize the off-diagonals
-    sym = 0.5 * (band[0, 1:] + band[2, :-1])
-    band[0, 1:] = sym
-    band[2, :-1] = sym
-    return band
-
-
-def _band_times(band: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Multiply a symmetric tridiagonal matrix in banded layout by a matrix."""
-    out = band[1][:, None] * T
-    out[:-1] += band[0][1:, None] * T[1:]
-    out[1:] += band[2][:-1, None] * T[:-1]
-    return out
-
-
 class _ActiveSet:
-    """Bookkeeping for the kink set: interpolation map and feasibility tests."""
+    """A kink set and the objective restricted to it (kink space).
+
+    phi is linear between kinks, so knot i on kink segment seg[i] with
+    barycentric weight lam[i] has value (1 - lam) u[seg] + lam u[seg + 1] for
+    kink values u.  The knot-to-kink map T is never formed.
+    """
 
     def __init__(self, prob: _Problem, kinks: np.ndarray):
         self.prob = prob
         self.kinks = np.unique(np.concatenate(([0, prob.n_knots - 1], kinks)))
         x = prob.knots
         self.xk = x[self.kinks]
+        self.dxk = np.diff(self.xk)
         m = self.kinks.size
-        T = np.zeros((x.size, m))
-        for col in range(m):
-            e = np.zeros(m)
-            e[col] = 1.0
-            T[:, col] = np.interp(x, self.xk, e)
-        self.T = T
+        self.seg = np.minimum(np.searchsorted(self.xk, x, side="right") - 1, m - 2)
+        self.lam = (x - self.xk[self.seg]) / self.dxk[self.seg]
+        self.om = 1.0 - self.lam
+        w = prob.weights
+        if prob.s == 0:
+            self.data_grad = self._pull_back(w)  # T^T w: the data term is linear
+        else:
+            self.hess_w = (w * self.om * self.om, w * self.lam * self.lam,
+                           w * self.lam * self.om)
+
+    def _pull_back(self, r: np.ndarray) -> np.ndarray:
+        """T^T r for a per-knot vector r."""
+        m = self.kinks.size
+        return (np.bincount(self.seg, r * self.om, minlength=m)
+                + np.bincount(self.seg + 1, r * self.lam, minlength=m))
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         return np.interp(self.prob.knots, self.xk, u)
 
+    def value_grad_hess(self, u: np.ndarray
+                        ) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray],
+                                   Optional[np.ndarray]]:
+        """Objective, gradient and tridiagonal Hessian in kink space.
+
+        Returns (value, grad, diag, off) with off the superdiagonal; the value
+        is -inf (and the rest None) outside the domain of the objective.
+        """
+        s = self.prob.s
+        m = u.size
+        with np.errstate(over="ignore"):
+            if s == 0:
+                term1 = float(np.dot(self.data_grad, u))
+                grad = self.data_grad.copy()
+                diag = np.zeros(m)
+                off = np.zeros(m - 1)
+            else:
+                v = self.expand(u)
+                w = self.prob.weights
+                term1 = float(np.dot(w, np.log(-v if s < 0 else v)) * (1.0 / s))
+                # first and second v-derivatives of log h(v) = log(|v|) / s
+                r = 1.0 / (s * v)
+                c = -r / v
+                grad = self._pull_back(r * w)
+                w_ll, w_rr, w_lr = self.hess_w
+                diag = (np.bincount(self.seg, c * w_ll, minlength=m)
+                        + np.bincount(self.seg + 1, c * w_rr, minlength=m))
+                off = np.bincount(self.seg, c * w_lr, minlength=m - 1)
+            seg, d_l, d_r, d_ll, d_lr, d_rr = _segment_partials(
+                self.dxk, u[:-1], u[1:], s, second=True)
+        total = float(np.sum(seg))
+        if not math.isfinite(total) or not math.isfinite(term1):
+            return -math.inf, None, None, None
+        grad[:-1] -= d_l
+        grad[1:] -= d_r
+        diag[:-1] -= d_ll
+        diag[1:] -= d_rr
+        off -= d_lr
+        return term1 - total, grad, diag, off
+
     def max_step(self, u: np.ndarray, du: np.ndarray) -> Tuple[float, Optional[int]]:
         """Largest t keeping kink slopes nonincreasing; returns (t, tight kink)."""
+        t_cap = self._cap_step(u, du)
         if self.kinks.size < 3:
-            t_cap = self._cap_step(u, du)
             return t_cap, None
-        dxk = np.diff(self.xk)
-        s0 = np.diff(u) / dxk
-        ds = np.diff(du) / dxk
+        s0 = np.diff(u) / self.dxk
+        ds = np.diff(du) / self.dxk
         c0 = np.diff(s0)          # current slope increases (<= 0)
         dc = np.diff(ds)          # change per unit step
-        t_best, j_best = math.inf, None
-        for i in np.nonzero(dc > 1e-14)[0]:
-            t_i = max(0.0, -c0[i]) / dc[i]
-            if t_i < t_best:
-                t_best, j_best = t_i, i + 1  # kink index inside self.kinks
-        t_cap = self._cap_step(u, du)
-        if t_cap < t_best:
+        rising = np.nonzero(dc > 1e-14)[0]
+        if rising.size == 0:
             return t_cap, None
-        return t_best, j_best
+        t_i = np.maximum(0.0, -c0[rising]) / dc[rising]
+        k = int(np.argmin(t_i))
+        if t_cap < t_i[k]:
+            return t_cap, None
+        return float(t_i[k]), int(rising[k]) + 1  # kink index inside self.kinks
 
     def _cap_step(self, u: np.ndarray, du: np.ndarray) -> float:
         s = self.prob.s
@@ -446,48 +533,51 @@ class _ActiveSet:
 
 
 def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
-                    cfg: FitConfig, inner_tol: float
-                    ) -> Tuple[_ActiveSet, np.ndarray, float, int]:
-    """Maximize the objective over the current kink set.
+                    cfg: FitConfig, inner_tol: float, budget: int
+                    ) -> Tuple[_ActiveSet, np.ndarray, int]:
+    """Maximize the objective over the current kink set in at most ``budget`` evaluations.
 
-    Kinks whose concavity constraint blocks a step at zero length lie on a
-    segment, so removing them does not change the function; the solver drops
-    them in place and re-solves until the reduced gradient meets the inner
-    tolerance or no step improves.
+    Damped Newton steps on the kink values use the exact tridiagonal Hessian,
+    factored in O(m).  Kinks whose concavity constraint blocks a step at zero
+    length lie on a segment, so removing them does not change the function;
+    the solver drops them in place and re-solves until the kink-space
+    gradient meets the inner tolerance or no step improves.  Once a step's
+    predicted gain is below the resolution of the objective, the step counts
+    as improving when it shrinks the gradient.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    from scipy.linalg import LinAlgError, solveh_banded
 
     evals = 0
-    val, grad = prob.value_and_grad(active.expand(u))
-    evals += 1
-    lam = 1e-10
+    stale = True
+    damping = 1e-10
     for _ in range(100):
-        g_red = active.T.T @ grad
-        if float(np.linalg.norm(g_red, np.inf)) <= inner_tol:
+        if stale:
+            if evals >= budget:
+                break
+            val, grad, diag, off = active.value_grad_hess(u)
+            evals += 1
+            stale = False
+        g_max = float(np.max(np.abs(grad)))
+        if g_max <= inner_tol or evals >= budget:
             break
-        band = _banded_hessian(prob, active.expand(u), grad)
-        evals += 6
-        H_red = active.T.T @ _band_times(band, active.T)
-        H_red = 0.5 * (H_red + H_red.T)
-        scale_h = max(1e-12, float(np.max(np.abs(np.diag(H_red)))))
+        scale_h = max(1e-12, float(np.max(np.abs(diag))))
         du = None
-        trial = lam
+        trial = damping
         for _ in range(8):
+            band = np.vstack((np.concatenate(([0.0], -off)), trial * scale_h - diag))
             try:
-                cf = cho_factor(-H_red + trial * scale_h * np.eye(u.size))
-                cand = cho_solve(cf, g_red)
+                cand = solveh_banded(band, grad)
             except LinAlgError:
                 trial *= 100.0
                 continue
-            if np.all(np.isfinite(cand)) and float(np.dot(cand, g_red)) > 0:
-                du, lam = cand, max(trial * 0.3, 1e-10)
+            if np.all(np.isfinite(cand)) and float(np.dot(cand, grad)) > 0:
+                du, damping = cand, max(trial * 0.3, 1e-10)
                 break
             trial *= 100.0
         if du is None:
-            du = g_red  # steepest ascent in the reduced space
+            du = grad  # steepest ascent in the reduced space
         moved = False
-        dropped_flat = False
-        for direction in (du, g_red if du is not g_red else None):
+        for direction in (du, grad if du is not grad else None):
             if direction is None:
                 continue
             t_max, tight = active.max_step(u, direction)
@@ -495,18 +585,22 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                 # lossless removal: the blocking kink is flat on a segment
                 active = _ActiveSet(prob, np.delete(active.kinks, tight))
                 u = np.delete(u, tight)
-                moved = True
-                dropped_flat = True
+                moved = stale = True
                 break
             t = min(1.0, t_max)
+            noise = 1e-14 * max(1.0, abs(val)) / float(np.dot(grad, direction))
             for _ in range(30):
-                if t <= 0:
+                if t <= 0 or evals >= budget:
                     break
                 u_try = u + t * direction
-                val_try, grad_try = prob.value_and_grad(active.expand(u_try))
+                trial_eval = active.value_grad_hess(u_try)
                 evals += 1
-                if math.isfinite(val_try) and val_try > val:
-                    u, val, grad = u_try, val_try, grad_try
+                val_try, grad_try = trial_eval[:2]
+                if math.isfinite(val_try) and (
+                        val_try > val
+                        or (t <= noise and float(np.max(np.abs(grad_try))) < g_max)):
+                    u = u_try
+                    val, grad, diag, off = trial_eval
                     moved = True
                     break
                 t *= cfg.backtrack_shrink
@@ -515,32 +609,20 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                     # the step flattened this kink exactly: remove it
                     active = _ActiveSet(prob, np.delete(active.kinks, tight))
                     u = np.delete(u, tight)
+                    stale = True
                 break
         if not moved:
             break
-        if dropped_flat:
-            continue
-    return active, u, val, evals
+    return active, u, evals
 
 
 def _new_kink_candidates(prob: _Problem, v: np.ndarray, grad: np.ndarray,
                          kinks: np.ndarray, batch: int = 8) -> np.ndarray:
     """Knots with the strongest downward-hinge ascent rates, spaced apart."""
-    x = prob.knots
-    n = v.size
-    if n < 3:
+    if v.size < 3:
         return np.asarray([], dtype=int)
-
-    def suffix(a):
-        return np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-
-    g_suf, gx_suf = suffix(grad), suffix(grad * x)
-    x_suf, x2_suf = suffix(x), suffix(x * x)
-    cnt_suf = np.arange(n, -1, -1, dtype=float)
-    j = np.arange(1, n - 1)
-    pair = gx_suf[j + 1] - x[j] * g_suf[j + 1]
-    norm2 = x2_suf[j + 1] - 2.0 * x[j] * x_suf[j + 1] + x[j] ** 2 * cnt_suf[j + 1]
-    rate = -pair / np.sqrt(np.maximum(norm2, 1e-300))
+    j, rate, _ = _hinge_rates(prob.knots, grad)
+    rate = -rate
     rate[np.isin(j, kinks)] = -math.inf
     order = np.argsort(rate)[::-1]
     threshold = 0.3 * rate[order[0]] if rate[order[0]] > 0 else math.inf
@@ -618,9 +700,18 @@ def _kinks_of(x: np.ndarray, v: np.ndarray, limit: int = 256) -> np.ndarray:
 def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     """Compute the s-concave MLE of the sample.
 
-    Active-set scheme: solve the smooth problem restricted to the current
-    kinks with damped Newton steps, then add the knot with the largest
-    certified ascent rate; kinks that flatten during a step are dropped.
+    Active-set scheme in kink space.  On the current kink set, damped Newton
+    steps with the exact tridiagonal Hessian maximize the objective over the
+    kink values, dropping kinks that flatten.  The tangent-cone certificate
+    then either passes or names the knots whose hinges ascend fastest, which
+    join the kink set.  Once an iterate is certified at ``grad_tol``, the fit
+    keeps refining toward a tighter internal target and returns the best
+    certified iterate when refinement runs out of new kinks or stops
+    improving.  Before that, projected line searches along the certified
+    ascent direction rescue a stuck solve, and single-knot perturbations
+    drain what is left.  The solver loop spends at most ``max_iterations``
+    objective evaluations; a fit stopped by that budget returns
+    ``converged=False``.
 
     Raises
     ------
@@ -642,24 +733,32 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     active = _ActiveSet(prob, np.asarray([], dtype=int))  # start affine
     u = v[active.kinks]
     iterations = 0
-    kkt = math.inf
-    val = -math.inf
+    budget = cfg.max_iterations
+    best = None  # (objective, kink set, kink values) of the best certified iterate
+    prev_val = -math.inf
     rescues = 0
-    inner_tol = 0.1 * cfg.grad_tol
-    while iterations < cfg.max_iterations:
-        active, u, val, evals = _reduced_newton(prob, active, u, cfg, inner_tol)
-        iterations += max(1, evals)
+    while iterations < budget:
+        active, u, evals = _reduced_newton(prob, active, u, cfg,
+                                           INNER_TOL * cfg.grad_tol, budget - iterations)
+        iterations += evals
         v = active.expand(u)
         cur_val, grad = prob.value_and_grad(v)
         kkt, ascent = _kkt_certificate(prob, v, grad)
-        if kkt <= cfg.grad_tol:
+        stalled = not cur_val > prev_val
+        prev_val = cur_val
+        if kkt <= cfg.grad_tol and (best is None or cur_val > best[0]):
+            best = (cur_val, active, u)
+        if best is not None and kkt <= TARGET_TOL * cfg.grad_tol:
             break
         # add the knots with the strongest certified bends, re-solve
-        new_kinks = _new_kink_candidates(prob, v, grad, active.kinks)
+        new_kinks = (np.asarray([], dtype=int) if stalled
+                     else _new_kink_candidates(prob, v, grad, active.kinks))
         if new_kinks.size > 0:
             active = _ActiveSet(prob, np.concatenate((active.kinks, new_kinks)))
             u = v[active.kinks]
             continue
+        if best is not None:
+            break  # out of new kinks or stalled: keep the best certified iterate
         # rescue (bounded): projected line searches along the certified ascent
         # direction and pokes of the highest-gradient knots, which harvest
         # finite-step gains hiding in nearly active constraints
@@ -677,6 +776,8 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
             for d in directions:
                 t = max(1.0, prob.knots[-1] - prob.knots[0])
                 for _ in range(50):
+                    if iterations >= budget:
+                        break
                     cand = _shift_feasible(prob, _concavify(
                         prob.knots, prob.clip_range(v + t * d), prob.weights))
                     cand_val = prob.value_and_grad(cand)[0]
@@ -695,10 +796,13 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
         if not rescued:
             break
 
+    if best is not None:
+        _, active, u = best
+    v = active.expand(u)
     val, grad = prob.value_and_grad(v)
     kkt, _ = _kkt_certificate(prob, v, grad)
     converged = kkt <= cfg.grad_tol
-    if not converged:
+    if not converged and iterations < budget:
         v, val, converged = _drain_perturbation_gains(prob, v, cfg)
         _, grad = prob.value_and_grad(v)
         kkt, _ = _kkt_certificate(prob, v, grad)

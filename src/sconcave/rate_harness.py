@@ -104,8 +104,7 @@ def derived_seed(seed: int, n_index: int, rep_index: int) -> int:
 
 
 def _one_replication(args) -> dict:
-    cfg_dict, n_index, rep_index = args
-    cfg = RateStudyConfig.from_dict(cfg_dict)
+    cfg, n_index, rep_index = args
     dist = cfg.distribution
     n = cfg.n_grid[n_index]
     data = sample(dist, n, derived_seed(cfg.seed, n_index, rep_index))
@@ -141,7 +140,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     if not check_s_concavity(lambda x: float(dist.pdf(x)), cfg.s, grid):
         raise ValueError(
             f"{cfg.true_density} is not s-concave for s = {cfg.s}")
-    tasks = [(cfg.to_dict(), i, j)
+    tasks = [(cfg, i, j)
              for i in range(len(cfg.n_grid)) for j in range(cfg.replications)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -166,22 +165,23 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
 
     quantiles: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
     slopes: Dict[str, Tuple[float, float]] = {}
+    complete = [m for m in cfg.metrics if np.isfinite(raw[m]).all()]
+    tables = {}
+    if complete:  # every row of every complete table in one call
+        stacked = np.percentile(np.stack([raw[m] for m in complete]), [25, 50, 75], axis=2)
+        tables = dict(zip(complete, stacked.transpose(1, 2, 0)))
     for m in cfg.metrics:
-        per_n = {}
-        medians = []
-        for i, n in enumerate(cfg.n_grid):
-            vals = raw[m][i]
-            vals = vals[np.isfinite(vals)]
-            if vals.size == 0:
-                per_n[n] = (math.nan, math.nan, math.nan)
-                medians.append(math.nan)
-                continue
-            q25, q50, q75 = np.percentile(vals, [25, 50, 75])
-            per_n[n] = (float(q25), float(q50), float(q75))
-            medians.append(float(q50))
+        if m not in tables:
+            rows = []
+            for vals in raw[m]:
+                vals = vals[np.isfinite(vals)]
+                rows.append(np.percentile(vals, [25, 50, 75]) if vals.size
+                            else (math.nan, math.nan, math.nan))
+            tables[m] = rows
+        per_n = {n: tuple(float(q) for q in row) for n, row in zip(cfg.n_grid, tables[m])}
         quantiles[m] = per_n
         try:
-            slopes[m] = fit_slope(cfg.n_grid, medians)
+            slopes[m] = fit_slope(cfg.n_grid, [q50 for _, q50, _ in per_n.values()])
         except ValueError:
             slopes[m] = (math.nan, math.nan)
     return RateStudyResult(config=cfg, quantiles=quantiles, slopes=slopes,
@@ -203,8 +203,13 @@ def fit_slope(ns: Sequence[float], errors: Sequence[float]
     if ns.size < 3:
         raise ValueError("need at least 3 positive (n, error) pairs")
     x, y = np.log(ns), np.log(errors)
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
+    xc = x - x.mean()
+    sxx = float(np.dot(xc, xc))
+    if sxx == 0.0:
+        raise ValueError("need at least 2 distinct n")
+    slope = float(np.dot(xc, y)) / sxx
+    resid = y - y.mean() - slope * xc
+    return slope, math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
 
 
 def consistency_diagnostics(fit_result: FitResult, p0,

@@ -224,3 +224,115 @@ class TestNonexistence:
             demonstrate_nonexistence([1.0], -0.5)
         with pytest.raises(ValueError):
             demonstrate_nonexistence([-1.0, 2.0], -2.0)
+
+
+def _kink_setup(s, seed=3, n=40, m=7):
+    from sconcave.mle import _ActiveSet, _Problem
+    rng = np.random.default_rng(seed)
+    data = np.round(rng.normal(size=n), 2)  # rounding leaves ties: weights differ
+    prob = _Problem(data, s)
+    kinks = rng.choice(np.arange(1, prob.n_knots - 1), size=m - 2, replace=False)
+    active = _ActiveSet(prob, kinks)
+    if s == 0:
+        u = rng.normal(scale=0.8, size=m)
+    elif s < 0:
+        u = -rng.uniform(0.3, 3.0, size=m)
+    else:
+        u = rng.uniform(0.3, 3.0, size=m)
+    T = np.column_stack([np.interp(prob.knots, active.xk, e) for e in np.eye(m)])
+    return data, active, u, T
+
+
+class TestKinkSpaceKernel:
+    """value_grad_hess against the full-space objective at expand(u)."""
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, 0.5])
+    def test_value_and_gradient(self, s):
+        for seed in range(5):
+            data, active, u, T = _kink_setup(s, seed)
+            val, grad, _, _ = active.value_grad_hess(u)
+            full_val, full_grad = objective(active.expand(u), data, s)
+            assert val == pytest.approx(full_val, rel=1e-12, abs=0)
+            np.testing.assert_allclose(grad, T.T @ full_grad, rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("s", [0.0, -0.5, 0.5])
+    def test_hessian_matches_gradient_differences(self, s):
+        for seed in range(5):
+            _, active, u, _ = _kink_setup(s, seed)
+            _, _, diag, off = active.value_grad_hess(u)
+            H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            h = 1e-6
+            fd = np.column_stack([
+                (active.value_grad_hess(u + h * e)[1]
+                 - active.value_grad_hess(u - h * e)[1]) / (2 * h)
+                for e in np.eye(u.size)])
+            scale = np.max(np.abs(H))
+            np.testing.assert_allclose(fd, H, rtol=0, atol=1e-7 * scale)
+
+    def test_segment_ends_are_exact(self):
+        # kinks sit on segment boundaries with lam = 0; the last knot has lam = 1
+        _, active, u, _ = _kink_setup(0.0)
+        np.testing.assert_array_equal(active.expand(u)[active.kinks], u)
+        assert active.lam[active.kinks[:-1]].tolist() == [0.0] * (u.size - 1)
+        assert active.lam[-1] == 1.0
+
+
+class TestSecondDerivativeKernels:
+    """E'' and g'' against quadrature on both sides of their series switches."""
+
+    POINTS = [0.0, 1e-5, -1e-5, 9e-3, -9e-3, 1.1e-2, -1.1e-2, 0.049, -0.049,
+              0.051, -0.051, 0.7, -0.7, 6.0, -6.0]
+
+    def test_exprel_second(self):
+        from scipy import integrate as sintegrate
+        from sconcave.mle import _exprel
+        d = np.array(self.POINTS)
+        E, Ep, Epp = _exprel(d, second=True)
+        E0, Ep0 = _exprel(d)
+        np.testing.assert_array_equal(E, E0)
+        np.testing.assert_array_equal(Ep, Ep0)
+        want = [sintegrate.quad(lambda t: t * t * math.exp(di * t), 0, 1,
+                                epsabs=0, epsrel=1e-13)[0] for di in d]
+        np.testing.assert_allclose(Epp, want, rtol=1e-11)
+
+    @pytest.mark.parametrize("q", [-2.0, 2.0, -4.0, 10.0 / 3.0])
+    def test_power_mean_second(self, q):
+        from scipy import integrate as sintegrate
+        from sconcave.mle import _power_mean_g
+        rho = np.array(self.POINTS[:-1])  # rho > -1
+        g, gp, gpp = _power_mean_g(rho, q, second=True)
+        g0, gp0 = _power_mean_g(rho, q)
+        np.testing.assert_array_equal(g, g0)
+        np.testing.assert_array_equal(gp, gp0)
+        want = [q * (q - 1) * sintegrate.quad(lambda t: t * t * (1 + r * t) ** (q - 2), 0, 1,
+                                              epsabs=0, epsrel=1e-13)[0] for r in rho]
+        np.testing.assert_allclose(gpp, want, rtol=1e-9)
+
+
+class TestKnownDefects:
+    """Fixed-seed regressions for fits that raised or overran their budget."""
+
+    def test_repair_guard_covers_slope_resolution(self):
+        from sconcave.mle import _repair_concavity
+        # a linear function over a 1e-9 gap: rounding makes its slopes jitter
+        x = np.array([-2.280258602312189, -1.19582816467109, -1.0027376871264224,
+                      -1.0027376861264223, 0.7668178889702638, 1.1818079443533893])
+        out = _repair_concavity(x, 5.0 - 0.5 * x)
+        assert np.all(np.diff(np.diff(out) / np.diff(x)) <= 0)
+
+    @pytest.mark.parametrize("n, seed", [(6400, "derived"), (25600, 5)])
+    def test_laplace_fit_does_not_raise(self, n, seed):
+        from sconcave.rate_harness import derived_seed
+        if seed == "derived":
+            seed = derived_seed(20260809, 6, 16)  # acceptance replication (n index 6, rep 16)
+        res = fit(sample(reference("laplace"), n, seed=seed), FitConfig(s=0.0))
+        assert abs(res.density.integral - 1.0) <= 1e-8
+        assert res.iterations <= FitConfig(s=0.0).max_iterations
+
+    @pytest.mark.parametrize("cap", [5, 20, 50])
+    def test_iteration_budget_is_hard(self, cap):
+        data = sample(reference("pareto"), 1600, seed=3)
+        res = fit(data, FitConfig(s=-0.5, max_iterations=cap))
+        assert res.iterations <= cap
+        assert not res.converged
+        assert abs(res.density.integral - 1.0) <= 1e-8

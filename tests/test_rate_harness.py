@@ -94,6 +94,36 @@ class TestStudyMechanics:
         lr = res.raw["loglr"]
         assert np.all(lr[np.isfinite(lr)] >= -1e-9)
 
+    def test_quantiles_match_per_row_percentiles(self, small_study):
+        cfg, res = small_study
+        for m in cfg.metrics:
+            for i, n in enumerate(cfg.n_grid):
+                row = res.raw[m][i]
+                want = np.percentile(row[np.isfinite(row)], [25, 50, 75])
+                assert res.quantiles[m][n] == tuple(float(q) for q in want)
+
+    def test_excluded_replication_leaves_row_quartiles(self, monkeypatch):
+        from sconcave import rate_harness
+        calls = []
+
+        def failing_first(data, cfg):
+            calls.append(cfg.grad_tol)
+            if len(calls) == 1:
+                raise RuntimeError("solver failure")
+            return fit(data, cfg)
+
+        monkeypatch.setattr(rate_harness, "fit", failing_first)
+        cfg = RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100, 200, 400),
+                              replications=3, seed=5, metrics=("hellinger",),
+                              fit_grad_tol=1e-6)
+        res = run_rate_study(cfg)
+        assert res.excluded == 1
+        assert calls == [1e-6] * 9  # the configured tolerance reaches every fit
+        row = res.raw["hellinger"][0]
+        assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
+        want = np.percentile(row[1:], [25, 50, 75])
+        assert res.quantiles["hellinger"][100] == tuple(float(q) for q in want)
+
     def test_seed_derivation_distinct(self):
         seeds = {derived_seed(42, i, j) for i in range(5) for j in range(20)}
         assert len(seeds) == 100
