@@ -8,7 +8,6 @@ objects; instances are immutable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -176,9 +175,6 @@ class PiecewiseConcave:
 
     def to_dict(self) -> dict:
         return {"knots": self.knots.tolist(), "values": self.values.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(d: dict) -> "PiecewiseConcave":

@@ -168,15 +168,6 @@ class TransformedDensity:
                 "values": self.phi.values.tolist()}
 
 
-def integrate(p: TransformedDensity) -> float:
-    """Integral of p over its support (cached at construction)."""
-    return p.integral
-
-
-def normalize(p: TransformedDensity) -> TransformedDensity:
-    return p.normalize()
-
-
 # ----------------------------------------------------------------------
 # Distances
 # ----------------------------------------------------------------------

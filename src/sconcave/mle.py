@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .concave_fn import PiecewiseConcave
 from .density import TransformedDensity
@@ -260,9 +259,6 @@ class _Problem:
         grad[1:] -= d_r
         return term1 - total, grad
 
-    def integral(self, v: np.ndarray) -> float:
-        return TransformedDensity(self.transform, PiecewiseConcave(self.knots, v)).integral
-
 
 def objective(values: Sequence[float], data: Sequence[float], s: float
               ) -> Tuple[float, np.ndarray]:
@@ -282,27 +278,11 @@ def objective(values: Sequence[float], data: Sequence[float], s: float
 
 
 # ----------------------------------------------------------------------
-# Concavity projection and feasible directions
+# Concavity repair and the optimality certificate
 # ----------------------------------------------------------------------
 
-def _concavify(x: np.ndarray, v: np.ndarray, anchor_w: np.ndarray) -> np.ndarray:
-    """Project values onto the concave cone: PAV on slopes, mean-anchored.
-
-    The rebuild may leave fp-level slope increases; callers that need an
-    exactly concave vector pass the result through ``_repair_concavity``.
-    """
-    if v.size <= 2:
-        return v.copy()
-    dx = np.diff(x)
-    slopes = np.diff(v) / dx
-    iso = isotonic_regression(slopes, weights=dx, increasing=False).x
-    rebuilt = np.concatenate(([0.0], np.cumsum(iso * dx)))
-    rebuilt += np.average(v - rebuilt, weights=anchor_w)
-    return rebuilt
-
-
 def _repair_concavity(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Forward pass removing fp-level slope increases left by the rebuild.
+    """Forward pass removing fp-level slope increases between near-coincident kinks.
 
     The guard exceeds the floating-point resolution of the repaired slope,
     so the slopes recomputed from the returned values never increase.
@@ -325,18 +305,11 @@ def _repair_concavity(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _constraint_values(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Slope increases c_i = s_i - s_{i-1} at interior knots (feasible: <= 0)."""
-    slopes = np.diff(v) / np.diff(x)
-    return np.diff(slopes)
-
-
-def _hinge_rates(x: np.ndarray, grad: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hinge_rates(x: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Directional derivatives along the normalized hinges (x - x_j)_+.
 
-    Suffix sums give every interior knot j in O(n).  Returns (j, rate, norm),
-    where norm is the Euclidean length of the hinge over the knots.
+    Suffix sums give every interior knot j in O(n).  Returns (j, rate), where
+    each hinge is normalized by its Euclidean length over the knots.
     """
     n = x.size
 
@@ -349,47 +322,32 @@ def _hinge_rates(x: np.ndarray, grad: np.ndarray
     j = np.arange(1, n - 1)
     pair = gx_suf[j + 1] - x[j] * g_suf[j + 1]
     norm2 = x2_suf[j + 1] - 2.0 * x[j] * x_suf[j + 1] + x[j] ** 2 * cnt_suf[j + 1]
-    norm = np.sqrt(np.maximum(norm2, 1e-300))
-    return j, pair / norm, norm
+    return j, pair / np.sqrt(np.maximum(norm2, 1e-300))
 
 
-def _kkt_certificate(prob: _Problem, v: np.ndarray, grad: np.ndarray
-                     ) -> Tuple[float, Optional[np.ndarray]]:
-    """Exact tangent-cone optimality certificate.
+def _kkt_certificate(prob: _Problem, grad: np.ndarray, kinks: np.ndarray) -> float:
+    """Exact tangent-cone optimality certificate at a kink-space iterate.
 
     Concave piecewise-linear vectors are nonnegative combinations of affine
-    parts and negative hinges (x - x_j)_+, so the tangent cone at v is
-    generated by +/- affine directions, -hinge_j everywhere, and +hinge_j at
-    knots whose concavity constraint is slack.  Returns the largest
-    normalized directional derivative over the generators and the best
-    ascent direction (None when stationary).
+    parts and negative hinges (x - x_j)_+, so the tangent cone at phi is
+    generated by +/- affine directions, -hinge_j at every interior knot, and
+    +hinge_j where phi bends.  phi is linear between its kinks, so slack is
+    decided by kink membership: +hinge_j enters only at the interior kinks
+    of the current set, never at a knot whose interpolated value rounds to a
+    slope drop.  Returns the largest normalized directional derivative over
+    the generators, or 0 when none ascends.
     """
     x = prob.knots
-    n = v.size
-    best_val = 0.0
-    best_dir: Optional[np.ndarray] = None
-    xc = x - x.mean()
-    for d in (np.ones(n), xc):
-        nv = float(np.linalg.norm(d))
-        rate = float(np.dot(grad, d)) / nv
-        for sgn in (1.0, -1.0):
-            if sgn * rate > best_val:
-                best_val = sgn * rate
-                best_dir = sgn * d / nv
-    if n >= 3:
-        j, rate, norm = _hinge_rates(x, grad)
-        c = _constraint_values(x, v)
-        scale = max(1.0, float(np.max(np.abs(v))))
-        slack = c < -1e-9 * scale  # c[i] is centered at knot i + 1
-        down = -rate  # removing slope drop at j: always feasible
-        up = np.where(slack[j - 1], rate, -math.inf)
-        for rates, sgn in ((down, -1.0), (up, 1.0)):
-            k = int(np.argmax(rates))
-            if rates[k] > best_val:
-                best_val = float(rates[k])
-                hinge = np.maximum(x - x[j[k]], 0.0)
-                best_dir = sgn * hinge / norm[k]
-    return best_val, best_dir
+    best = 0.0
+    for d in (np.ones(x.size), x - x.mean()):
+        best = max(best, abs(float(np.dot(grad, d))) / float(np.linalg.norm(d)))
+    if x.size >= 3:
+        _, rate = _hinge_rates(x, grad)
+        best = max(best, float(np.max(-rate)))  # removing slope drop: always feasible
+        inner = kinks[(kinks > 0) & (kinks < x.size - 1)]
+        if inner.size:
+            best = max(best, float(np.max(rate[inner - 1])))  # rate[k] is knot k + 1
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -407,20 +365,7 @@ def _pilot_values(prob: _Problem) -> np.ndarray:
     x = prob.knots
     level = prob.transform.inverse(1.0 / (x[-1] - x[0]))
     v = np.full(x.size, level)
-    return _shift_feasible(prob, prob.clip_range(v))
-
-
-def _shift_feasible(prob: _Problem, v: np.ndarray) -> np.ndarray:
-    """Restore the range cap by a constant shift (concavity-preserving)."""
-    if prob.s < 0:
-        excess = float(np.max(v)) + VALUE_CAP
-        if excess > 0:
-            v = v - excess
-    elif prob.s > 0:
-        deficit = VALUE_CAP - float(np.min(v))
-        if deficit > 0:
-            v = v + deficit
-    return v
+    return prob.clip_range(v)
 
 
 class _ActiveSet:
@@ -616,12 +561,12 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
     return active, u, evals
 
 
-def _new_kink_candidates(prob: _Problem, v: np.ndarray, grad: np.ndarray,
-                         kinks: np.ndarray, batch: int = 8) -> np.ndarray:
+def _new_kink_candidates(prob: _Problem, grad: np.ndarray, kinks: np.ndarray,
+                         batch: int = 8) -> np.ndarray:
     """Knots with the strongest downward-hinge ascent rates, spaced apart."""
-    if v.size < 3:
+    if prob.n_knots < 3:
         return np.asarray([], dtype=int)
-    j, rate, _ = _hinge_rates(prob.knots, grad)
+    j, rate = _hinge_rates(prob.knots, grad)
     rate = -rate
     rate[np.isin(j, kinks)] = -math.inf
     order = np.argsort(rate)[::-1]
@@ -638,80 +583,24 @@ def _new_kink_candidates(prob: _Problem, v: np.ndarray, grad: np.ndarray,
     return np.asarray(picked, dtype=int)
 
 
-PERTURB_STEP = 1e-4
-PERTURB_GAIN_TOL = 1e-8
-
-
-def _drain_perturbation_gains(prob: _Problem, v: np.ndarray, cfg: FitConfig,
-                              budget: int = 300
-                              ) -> Tuple[np.ndarray, float, bool]:
-    """Harvest single-knot perturbation gains until the certificate passes.
-
-    Finite pokes of the probe step can gain through nearly active constraints
-    that infinitesimal cone directions cannot see; accepting them one at a
-    time terminates exactly when no probed perturbation improves the
-    objective beyond the gain tolerance (the numerical optimality
-    certificate), or when the directional residual meets grad_tol.
-    """
-    val, grad = prob.value_and_grad(v)
-
-    def probe(direction: np.ndarray):
-        cand = _shift_feasible(prob, _concavify(
-            prob.knots, prob.clip_range(v + direction), prob.weights))
-        cand_val = prob.value_and_grad(cand)[0]
-        return cand, (cand_val - val if math.isfinite(cand_val) else -math.inf)
-
-    for _ in range(budget):
-        kkt, ascent = _kkt_certificate(prob, v, grad)
-        if kkt <= cfg.grad_tol:
-            return v, val, True
-        best_gain, best_cand = 0.0, None
-        directions = []
-        top = np.argsort(np.abs(grad))[::-1][:8]
-        for j in top:
-            e = np.zeros_like(v)
-            e[j] = PERTURB_STEP
-            directions.extend((e, -e))
-        if ascent is not None:
-            directions.append(PERTURB_STEP * ascent)
-        for d in directions:
-            cand, gain = probe(d)
-            if gain > best_gain:
-                best_gain, best_cand = gain, cand
-        if best_gain <= PERTURB_GAIN_TOL:
-            return v, val, True
-        v = best_cand
-        val, grad = prob.value_and_grad(v)
-    return v, val, False
-
-
-def _kinks_of(x: np.ndarray, v: np.ndarray, limit: int = 256) -> np.ndarray:
-    if v.size < 3:
-        return np.asarray([], dtype=int)
-    c = _constraint_values(x, v)
-    scale = max(1.0, float(np.max(np.abs(np.diff(v) / np.diff(x)))))
-    idx = np.nonzero(c < -1e-11 * scale)[0] + 1
-    if idx.size > limit:
-        drops = -c[idx - 1]
-        idx = idx[np.argsort(drops)[::-1][:limit]]
-    return idx
-
-
 def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     """Compute the s-concave MLE of the sample.
 
-    Active-set scheme in kink space.  On the current kink set, damped Newton
-    steps with the exact tridiagonal Hessian maximize the objective over the
-    kink values, dropping kinks that flatten.  The tangent-cone certificate
-    then either passes or names the knots whose hinges ascend fastest, which
-    join the kink set.  Once an iterate is certified at ``grad_tol``, the fit
-    keeps refining toward a tighter internal target and returns the best
-    certified iterate when refinement runs out of new kinks or stops
-    improving.  Before that, projected line searches along the certified
-    ascent direction rescue a stuck solve, and single-knot perturbations
-    drain what is left.  The solver loop spends at most ``max_iterations``
-    objective evaluations; a fit stopped by that budget returns
-    ``converged=False``.
+    Active-set scheme in kink space, one loop of three steps:
+
+    1. Damped Newton steps with the exact tridiagonal Hessian maximize the
+       objective over the values of the current kinks, dropping kinks that
+       flatten.
+    2. The tangent-cone certificate measures the best ascent rate over the
+       generators, with slack at the current kinks only.
+    3. The knots whose hinges ascend fastest join the kink set, or the loop
+       stops: when the certificate meets a target tighter than ``grad_tol``,
+       when no knot ascends, or when the objective stalls.
+
+    The fit returns the best iterate certified at ``grad_tol``, else the last.
+    ``converged`` means the returned iterate meets the certificate at
+    ``grad_tol`` and integrates to 1 within ``integral_tol``.  The loop spends
+    at most ``max_iterations`` objective evaluations.
 
     Raises
     ------
@@ -736,14 +625,13 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     budget = cfg.max_iterations
     best = None  # (objective, kink set, kink values) of the best certified iterate
     prev_val = -math.inf
-    rescues = 0
     while iterations < budget:
         active, u, evals = _reduced_newton(prob, active, u, cfg,
                                            INNER_TOL * cfg.grad_tol, budget - iterations)
         iterations += evals
         v = active.expand(u)
         cur_val, grad = prob.value_and_grad(v)
-        kkt, ascent = _kkt_certificate(prob, v, grad)
+        kkt = _kkt_certificate(prob, grad, active.kinks)
         stalled = not cur_val > prev_val
         prev_val = cur_val
         if kkt <= cfg.grad_tol and (best is None or cur_val > best[0]):
@@ -752,64 +640,17 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
             break
         # add the knots with the strongest certified bends, re-solve
         new_kinks = (np.asarray([], dtype=int) if stalled
-                     else _new_kink_candidates(prob, v, grad, active.kinks))
-        if new_kinks.size > 0:
-            active = _ActiveSet(prob, np.concatenate((active.kinks, new_kinks)))
-            u = v[active.kinks]
-            continue
-        if best is not None:
-            break  # out of new kinks or stalled: keep the best certified iterate
-        # rescue (bounded): projected line searches along the certified ascent
-        # direction and pokes of the highest-gradient knots, which harvest
-        # finite-step gains hiding in nearly active constraints
-        rescued = False
-        if rescues < 60:
-            directions = []
-            if ascent is not None:
-                directions.append(ascent)
-            top = np.argsort(np.abs(grad))[::-1][:6]
-            for j in top:
-                e = np.zeros_like(v)
-                e[j] = 1.0 if grad[j] > 0 else -1.0
-                directions.append(e)
-            gain_floor = 1e-11 * max(1.0, abs(cur_val))
-            for d in directions:
-                t = max(1.0, prob.knots[-1] - prob.knots[0])
-                for _ in range(50):
-                    if iterations >= budget:
-                        break
-                    cand = _shift_feasible(prob, _concavify(
-                        prob.knots, prob.clip_range(v + t * d), prob.weights))
-                    cand_val = prob.value_and_grad(cand)[0]
-                    iterations += 1
-                    if math.isfinite(cand_val) and cand_val > cur_val + gain_floor:
-                        v = cand
-                        rescued = True
-                        break
-                    t *= cfg.backtrack_shrink
-                if rescued:
-                    break
-            if rescued:
-                rescues += 1
-                active = _ActiveSet(prob, _kinks_of(prob.knots, v))
-                u = v[active.kinks]
-        if not rescued:
+                     else _new_kink_candidates(prob, grad, active.kinks))
+        if new_kinks.size == 0:
             break
+        active = _ActiveSet(prob, np.concatenate((active.kinks, new_kinks)))
+        u = v[active.kinks]
 
     if best is not None:
         _, active, u = best
-    v = active.expand(u)
-    val, grad = prob.value_and_grad(v)
-    kkt, _ = _kkt_certificate(prob, v, grad)
+    val, grad = prob.value_and_grad(active.expand(u))
+    kkt = _kkt_certificate(prob, grad, active.kinks)
     converged = kkt <= cfg.grad_tol
-    if not converged and iterations < budget:
-        v, val, converged = _drain_perturbation_gains(prob, v, cfg)
-        _, grad = prob.value_and_grad(v)
-        kkt, _ = _kkt_certificate(prob, v, grad)
-        converged = converged or kkt <= cfg.grad_tol
-        # keep the kink representation in sync with the drained values
-        active = _ActiveSet(prob, _kinks_of(prob.knots, v))
-        u = v[active.kinks]
 
     # the kink representation is exact and avoids fp slope noise at data knots
     phi_final = PiecewiseConcave(active.xk, _repair_concavity(active.xk, u))

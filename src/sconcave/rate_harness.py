@@ -57,7 +57,7 @@ class RateStudyConfig:
                 "n_grid": list(self.n_grid), "replications": self.replications,
                 "seed": self.seed, "metrics": list(self.metrics),
                 "beta": self.beta, "compact": list(self.compact),
-                "jobs": self.jobs}
+                "jobs": self.jobs, "fit_grad_tol": self.fit_grad_tol}
 
     @staticmethod
     def from_dict(d: dict) -> "RateStudyConfig":

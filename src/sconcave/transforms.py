@@ -302,8 +302,6 @@ def check_assumptions(t: Transform) -> AssumptionReport:
                 "T1", "pass", witness=math.inf,
                 detail="h' underflows on the probe grid (super-polynomial decay)"))
     else:
-        checks.append(AssumptionCheck("T2-gate", "vacuous", detail="y0_tilde finite; see T2"))
-        checks.pop()
         checks.append(AssumptionCheck("T1", "vacuous", detail="y0_tilde > -inf"))
 
     # T2: h' locally bounded above y0_tilde (only binding when y0_tilde finite).

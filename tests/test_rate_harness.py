@@ -166,6 +166,16 @@ class TestStudyMechanics:
         with pytest.raises(ValueError, match="version"):
             RateStudyConfig.from_dict(d2)
 
+    def test_config_round_trip_keeps_every_field(self):
+        import dataclasses
+        cfg = RateStudyConfig(true_density="pareto", s=-0.5, n_grid=(50, 70),
+                              replications=3, seed=9, metrics=("l1",), beta=4.0,
+                              compact=(-0.5, 0.5), jobs=2, fit_grad_tol=1e-9)
+        defaults = {f.name: f.default for f in dataclasses.fields(cfg)
+                    if f.default is not dataclasses.MISSING}
+        assert all(getattr(cfg, k) != v for k, v in defaults.items())
+        assert RateStudyConfig.from_dict(cfg.to_dict()) == cfg
+
 
 class TestConsistencyDiagnostics:
     def test_zero_distance_against_self(self):
