@@ -233,11 +233,11 @@ def _descriptor_from_config(raw: dict):
                                               p.get("B", 1.0), p.get("Gamma", 1.0))
     if kind == "transformed_compact":
         return _entropy.TransformedCompactClass(
-            Transform.power(p["s"]) if p.get("s", 0.0) != 0 else Transform.log_concave(),
+            Transform.power(p.get("s", 0.0)),
             p.get("b1", 0.0), p.get("b2", 1.0), p.get("B", 1.0))
     if kind == "tail_class":
         return _entropy.TailClass(
-            Transform.power(p["s"]) if p.get("s", 0.0) != 0 else Transform.log_concave(),
+            Transform.power(p.get("s", 0.0)),
             p.get("M", 2.0))
     raise CliError(f"unknown class {kind!r}")
 
@@ -250,7 +250,7 @@ def _descriptor_from_config(raw: dict):
 @click.option("--out", default="-")
 def cmd_envelope_check(s_value, m_value, members, seed, out):
     """Check the class envelope against randomized members."""
-    t = Transform.power(s_value) if s_value != 0 else Transform.log_concave()
+    t = Transform.power(s_value)
     try:
         env = _density.envelope_for_class(m_value, t)
     except ValueError as exc:

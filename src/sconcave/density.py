@@ -1,9 +1,12 @@
 """Transformed densities p = h(phi), their integrals, distances, and envelopes.
 
-Integration of a piecewise-linear ``phi`` through a power-family transform has
-closed forms per segment; adaptive quadrature is kept as an independent oracle
-in the test suite.  Hellinger and L1 distances integrate piecewise between the
-union of knots so the integrand is smooth on every subinterval.
+Integration of a piecewise-linear ``phi`` through the exponential or a power
+transform has closed forms per segment.  One kernel, ``_segment_partials``,
+returns them with their partials in the end values; it gives
+``TransformedDensity.integral`` and the MLE objective of ``sconcave.mle``.
+General transforms integrate each segment by adaptive quadrature.  Hellinger
+and L1 distances integrate piecewise between the union of knots so the
+integrand is smooth on every subinterval.
 """
 
 from __future__ import annotations
@@ -32,54 +35,137 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-class NumericError(RuntimeError):
-    """Quadrature failed to reach its tolerance within budget."""
+# ----------------------------------------------------------------------
+# Segment integrals: closed forms and their partials
+# ----------------------------------------------------------------------
+
+def _exprel(d: np.ndarray, second: bool = False) -> Tuple[np.ndarray, ...]:
+    """E(d) = (exp(d)-1)/d and its derivative, stable near d = 0.
+
+    With ``second`` also returns E''(d) = integral_0^1 t^2 exp(d t) dt.  Its
+    closed form cancels to O(eps/d^2), so it switches to the series
+    sum_k d^k / (k! (k+3)) below |d| = 0.05, where both err by about 1e-13.
+    """
+    E = np.empty_like(d)
+    Ep = np.empty_like(d)
+    near = np.abs(d) < 1e-4
+    dn = d[near]
+    E[near] = 1.0 + dn / 2.0 + dn ** 2 / 6.0 + dn ** 3 / 24.0 + dn ** 4 / 120.0
+    Ep[near] = 0.5 + dn / 3.0 + dn ** 2 / 8.0 + dn ** 3 / 30.0
+    far = ~near
+    df = d[far]
+    E[far] = np.expm1(df) / df
+    Ep[far] = (np.exp(df) * (df - 1.0) + 1.0) / df ** 2
+    if not second:
+        return E, Ep
+    Epp = np.empty_like(d)
+    near = np.abs(d) < 0.05
+    dn = d[near]
+    Epp[near] = 1.0 / 3.0 + dn * (1.0 / 4.0 + dn * (1.0 / 10.0 + dn * (
+        1.0 / 36.0 + dn * (1.0 / 168.0 + dn * (1.0 / 960.0 + dn / 6480.0)))))
+    df = d[~near]
+    Epp[~near] = (np.expm1(df) * (df * (df - 2.0) + 2.0) + df * (df - 2.0)) / df ** 3
+    return E, Ep, Epp
 
 
-# ----------------------------------------------------------------------
-# Segment integrals
-# ----------------------------------------------------------------------
+def _power_mean_g(ratio: np.ndarray, q: float, second: bool = False
+                  ) -> Tuple[np.ndarray, ...]:
+    """g(rho) = integral_0^1 (1 + rho t)^q dt and g' at rho = ratio - 1, stable near 0.
+
+    The closed forms use ``ratio`` for 1 + rho: ratio - 1 rounds a tiny ratio
+    away (|phi| falling steeply); on [0.5, 2] rho is exact and the two agree.
+    With ``second`` also returns g''.  Differentiating rho g' + g = ratio^q gives
+    rho g'' = q ratio^(q-1) - 2 g', which cancels to O(eps/rho^2); below
+    |rho| = 1e-2 the series sum_k q (q-1) ... (q-k-1) rho^k / (k! (k+3)) is used.
+    """
+    rho = ratio - 1.0
+    g = np.empty_like(rho)
+    gp = np.empty_like(rho)
+    near = np.abs(rho) < 1e-4
+    rn = rho[near]
+    g[near] = (1.0 + q * rn / 2.0 + q * (q - 1.0) * rn ** 2 / 6.0
+               + q * (q - 1.0) * (q - 2.0) * rn ** 3 / 24.0)
+    gp[near] = (q / 2.0 + q * (q - 1.0) * rn / 3.0
+                + q * (q - 1.0) * (q - 2.0) * rn ** 2 / 8.0)
+    far = ~near
+    rf, af = rho[far], ratio[far]
+    if q == -1.0:
+        g[far] = np.log(af) / rf
+        gp[far] = (rf / af - np.log(af)) / rf ** 2
+    else:
+        g[far] = (np.power(af, q + 1.0) - 1.0) / (rf * (q + 1.0))
+        gp[far] = (np.power(af, q) * rf * (q + 1.0)
+                   - (np.power(af, q + 1.0) - 1.0)) / (rf ** 2 * (q + 1.0))
+    if not second:
+        return g, gp
+    gpp = np.empty_like(rho)
+    near = np.abs(rho) < 1e-2
+    coefs, falling, fact = [], q * (q - 1.0), 1.0
+    for k in range(7):
+        coefs.append(falling / (fact * (k + 3.0)))
+        falling *= q - k - 2.0
+        fact *= k + 1.0
+    rn = rho[near]
+    acc = np.full_like(rn, coefs[-1])
+    for c in reversed(coefs[:-1]):
+        acc = acc * rn + c
+    gpp[near] = acc
+    rf = rho[~near]
+    gpp[~near] = (q * np.power(ratio[~near], q - 1.0) - 2.0 * gp[~near]) / rf
+    return g, gp, gpp
+
+
+def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
+                      second: bool = False) -> Tuple[np.ndarray, ...]:
+    """Integrals of h(phi) over linear segments and their partials in the end values.
+
+    h is exp for s = 0 and the power transform |phi|^(1/s) otherwise.  Returns
+    (seg, d_l, d_r), and with ``second`` also (d_ll, d_lr, d_rr).  Only d_rr
+    needs a kernel's second derivative; the other two follow from Euler
+    relations, differentiated in each end value: the integral scales by e^t
+    under the shift (vl, vr) -> (vl + t, vr + t) for s = 0, so d_l + d_r = seg,
+    and is homogeneous of degree q = 1/s in |phi| otherwise, so
+    |vl| d_l + |vr| d_r = q seg.
+    """
+    if s == 0:
+        E, Ep, *Epp = _exprel(vr - vl, second)
+        scale = dx * np.exp(vl)
+        seg = scale * E
+        d_l = scale * (E - Ep)
+        d_r = scale * Ep
+        if not second:
+            return seg, d_l, d_r
+        d_rr = scale * Epp[0]
+        d_lr = d_r - d_rr
+        return seg, d_l, d_r, d_l - d_lr, d_lr, d_rr
+    q = 1.0 / s
+    ul, ur = (-vl, -vr) if s < 0 else (vl, vr)
+    ratio = ur / ul
+    g, gp, *gpp = _power_mean_g(ratio, q, second)
+    scale = dx * np.power(ul, q)
+    seg = scale * g
+    scale = scale / ul
+    i_l = scale * (q * g - gp * ratio)
+    i_r = scale * gp
+    sign = -1.0 if s < 0 else 1.0
+    if not second:
+        return seg, sign * i_l, sign * i_r
+    d_rr = scale / ul * gpp[0]
+    d_lr = ((q - 1.0) * i_r - ur * d_rr) / ul
+    d_ll = ((q - 1.0) * i_l - ur * d_lr) / ul
+    return seg, sign * i_l, sign * i_r, d_ll, d_lr, d_rr
+
 
 def _segment_integrals(transform: Transform, knots: np.ndarray,
                        values: np.ndarray) -> np.ndarray:
-    """Closed-form integral of h(phi) over each linear segment of phi."""
+    """Integral of h(phi) over each linear segment of phi (quadrature for general h)."""
     dx = np.diff(knots)
     vl, vr = values[:-1], values[1:]
-    kind = transform.kind
-    if kind == KIND_LOG:
+    if transform.kind == KIND_LOG:
         c = transform.exp_scale
-        a, b = c * vl, c * vr
-        d = b - a
-        out = np.empty_like(d)
-        near = np.abs(d) <= 1e-9
-        out[near] = np.exp(0.5 * (a + b))[near] * (1.0 + d[near] ** 2 / 24.0)
-        far = ~near
-        out[far] = np.exp(a[far]) * np.expm1(d[far]) / d[far]
-        return dx * out
-    if kind == KIND_POWER:
-        s = transform.s
-        q = 1.0 / s
-        if s < 0:
-            if np.any(values >= 0):
-                raise DomainError("phi must stay strictly negative for s < 0")
-            ul, ur = -vl, -vr
-        else:
-            if np.any(values <= 0):
-                raise DomainError("phi must stay strictly positive for s > 0")
-            ul, ur = vl, vr
-        out = np.empty_like(ul)
-        near = np.abs(ur - ul) <= 1e-9 * np.maximum(ul, ur)
-        um = 0.5 * (ul + ur)
-        out[near] = um[near] ** q
-        far = ~near
-        if np.any(far):
-            a, b = ul[far], ur[far]
-            if q == -1.0:
-                out[far] = (np.log(b) - np.log(a)) / (b - a)
-            else:
-                out[far] = (b ** (q + 1.0) - a ** (q + 1.0)) / ((b - a) * (q + 1.0))
-        return dx * out
-    # general transform: per-segment adaptive quadrature
+        return _segment_partials(dx, c * vl, c * vr, 0)[0]
+    if transform.kind == KIND_POWER:
+        return _segment_partials(dx, vl, vr, transform.s)[0]
     out = np.empty_like(dx)
     for i in range(dx.size):
         f = lambda x: transform.eval(float(values[i] + (values[i + 1] - values[i])

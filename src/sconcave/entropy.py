@@ -126,12 +126,6 @@ class Bracket:
     def support(self) -> Tuple[float, float]:
         return self.pieces[0].a, self.pieces[-1].b
 
-    def _locate_piece(self, x: float) -> Optional[BracketPiece]:
-        for p in self.pieces:
-            if p.a - 1e-12 <= x <= p.b + 1e-12:
-                return p
-        return None
-
     def lower(self, x) -> np.ndarray:
         return self._eval_side(x, "lower")
 
@@ -183,8 +177,6 @@ class BracketSet:
     log_cardinality: float
     size_bound: float
     locate: Callable[[object], Bracket] = field(repr=False)
-    brackets: List[Bracket] = field(default_factory=list, repr=False)
-    lazy: bool = True
 
     @property
     def count_log10(self) -> float:
@@ -303,8 +295,7 @@ def cover_lipschitz_concave(a: float, b: float, B: float, Gamma: float,
         const = Bracket([BracketPiece(a, b, ("const", -B), ("const", B),
                                       exact_size_r=None)])
         return BracketSet(descriptor, eps, math.inf, 0.0, eps,
-                          locate=lambda member: const,
-                          brackets=[const], lazy=False)
+                          locate=lambda member: const)
     tau, sigma, rho, k_max, n_slope, n_intercept = _lipschitz_menus(a, b, B, Gamma, eps)
     log_card = _count_line_families(k_max, n_slope, n_intercept)
 
@@ -369,8 +360,7 @@ def cover_bounded_concave(b1: float, b2: float, B: float, eps: float, r: float,
         # the trivial bracket [-B, B] is already within budget
         const = Bracket([BracketPiece(b1, b2, ("const", -B), ("const", B))])
         return BracketSet(descriptor, eps, r, 0.0, eps,
-                          locate=lambda member: const,
-                          brackets=[const], lazy=False)
+                          locate=lambda member: const)
     eps_sc = eps / scale
     width = b2 - b1
     if eps_sc > EPS3:

@@ -11,6 +11,7 @@ method in kink space: phi is linear between its kinks, so on a fixed kink set
 the objective, its gradient and its exact tridiagonal Hessian depend on the
 kink values only.  Damped Newton steps solve each reduced problem; kinks enter
 through an exact tangent-cone (hinge) certificate and leave when they flatten.
+Segment integrals come from the closed-form kernel of ``sconcave.density``.
 
 For s < -1 no maximizer exists; ``demonstrate_nonexistence`` evaluates the
 diverging one-parameter likelihood path that witnesses it.
@@ -25,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .concave_fn import PiecewiseConcave
-from .density import TransformedDensity
+from .density import TransformedDensity, _segment_partials
 from .transforms import Transform
 
 VALUE_CAP = 1e-10  # keep phi strictly inside the transform range
@@ -55,7 +56,7 @@ class FitConfig:
 
     @property
     def transform(self) -> Transform:
-        return Transform.log_concave() if self.s == 0.0 else Transform.power(self.s)
+        return Transform.power(self.s)
 
 
 @dataclass(frozen=True)
@@ -92,121 +93,8 @@ def existence_threshold(s: float) -> int:
 
 
 # ----------------------------------------------------------------------
-# Objective: per-segment closed forms and their partials
+# Objective
 # ----------------------------------------------------------------------
-
-def _exprel(d: np.ndarray, second: bool = False) -> Tuple[np.ndarray, ...]:
-    """E(d) = (exp(d)-1)/d and its derivative, stable near d = 0.
-
-    With ``second`` also returns E''(d) = integral_0^1 t^2 exp(d t) dt.  Its
-    closed form cancels to O(eps/d^2), so it switches to the series
-    sum_k d^k / (k! (k+3)) below |d| = 0.05, where both err by about 1e-13.
-    """
-    E = np.empty_like(d)
-    Ep = np.empty_like(d)
-    near = np.abs(d) < 1e-4
-    dn = d[near]
-    E[near] = 1.0 + dn / 2.0 + dn ** 2 / 6.0 + dn ** 3 / 24.0 + dn ** 4 / 120.0
-    Ep[near] = 0.5 + dn / 3.0 + dn ** 2 / 8.0 + dn ** 3 / 30.0
-    far = ~near
-    df = d[far]
-    E[far] = np.expm1(df) / df
-    Ep[far] = (np.exp(df) * (df - 1.0) + 1.0) / df ** 2
-    if not second:
-        return E, Ep
-    Epp = np.empty_like(d)
-    near = np.abs(d) < 0.05
-    dn = d[near]
-    Epp[near] = 1.0 / 3.0 + dn * (1.0 / 4.0 + dn * (1.0 / 10.0 + dn * (
-        1.0 / 36.0 + dn * (1.0 / 168.0 + dn * (1.0 / 960.0 + dn / 6480.0)))))
-    df = d[~near]
-    Epp[~near] = (np.expm1(df) * (df * (df - 2.0) + 2.0) + df * (df - 2.0)) / df ** 3
-    return E, Ep, Epp
-
-
-def _power_mean_g(rho: np.ndarray, q: float, second: bool = False
-                  ) -> Tuple[np.ndarray, ...]:
-    """g(rho) = integral_0^1 (1 + rho t)^q dt and g', stable near rho = 0.
-
-    With ``second`` also returns g''.  Differentiating rho g' + g = (1+rho)^q
-    gives rho g'' = q (1+rho)^(q-1) - 2 g', which cancels to O(eps/rho^2); below
-    |rho| = 1e-2 the series sum_k q (q-1) ... (q-k-1) rho^k / (k! (k+3)) is used.
-    """
-    g = np.empty_like(rho)
-    gp = np.empty_like(rho)
-    near = np.abs(rho) < 1e-4
-    rn = rho[near]
-    g[near] = (1.0 + q * rn / 2.0 + q * (q - 1.0) * rn ** 2 / 6.0
-               + q * (q - 1.0) * (q - 2.0) * rn ** 3 / 24.0)
-    gp[near] = (q / 2.0 + q * (q - 1.0) * rn / 3.0
-                + q * (q - 1.0) * (q - 2.0) * rn ** 2 / 8.0)
-    far = ~near
-    rf = rho[far]
-    if q == -1.0:
-        g[far] = np.log1p(rf) / rf
-        gp[far] = (rf / (1.0 + rf) - np.log1p(rf)) / rf ** 2
-    else:
-        g[far] = (np.power(1.0 + rf, q + 1.0) - 1.0) / (rf * (q + 1.0))
-        gp[far] = (np.power(1.0 + rf, q) * rf * (q + 1.0)
-                   - (np.power(1.0 + rf, q + 1.0) - 1.0)) / (rf ** 2 * (q + 1.0))
-    if not second:
-        return g, gp
-    gpp = np.empty_like(rho)
-    near = np.abs(rho) < 1e-2
-    coefs, falling, fact = [], q * (q - 1.0), 1.0
-    for k in range(7):
-        coefs.append(falling / (fact * (k + 3.0)))
-        falling *= q - k - 2.0
-        fact *= k + 1.0
-    rn = rho[near]
-    acc = np.full_like(rn, coefs[-1])
-    for c in reversed(coefs[:-1]):
-        acc = acc * rn + c
-    gpp[near] = acc
-    rf = rho[~near]
-    gpp[~near] = (q * np.power(1.0 + rf, q - 1.0) - 2.0 * gp[~near]) / rf
-    return g, gp, gpp
-
-
-def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
-                      second: bool = False) -> Tuple[np.ndarray, ...]:
-    """Integrals of h(phi) over linear segments and their partials in the end values.
-
-    Returns (seg, d_l, d_r), and with ``second`` also (d_ll, d_lr, d_rr).  Only
-    d_rr needs a kernel's second derivative; the other two follow from Euler
-    relations, differentiated in each end value: the integral scales by e^t
-    under the shift (vl, vr) -> (vl + t, vr + t) for s = 0, so d_l + d_r = seg,
-    and is homogeneous of degree q = 1/s in |phi| otherwise, so
-    |vl| d_l + |vr| d_r = q seg.
-    """
-    if s == 0:
-        E, Ep, *Epp = _exprel(vr - vl, second)
-        scale = dx * np.exp(vl)
-        seg = scale * E
-        d_l = scale * (E - Ep)
-        d_r = scale * Ep
-        if not second:
-            return seg, d_l, d_r
-        d_rr = scale * Epp[0]
-        d_lr = d_r - d_rr
-        return seg, d_l, d_r, d_l - d_lr, d_lr, d_rr
-    q = 1.0 / s
-    ul, ur = (-vl, -vr) if s < 0 else (vl, vr)
-    rho = ur / ul - 1.0
-    g, gp, *gpp = _power_mean_g(rho, q, second)
-    scale = dx * np.power(ul, q)
-    seg = scale * g
-    scale = scale / ul
-    i_l = scale * (q * g - gp * (1.0 + rho))
-    i_r = scale * gp
-    sign = -1.0 if s < 0 else 1.0
-    if not second:
-        return seg, sign * i_l, sign * i_r
-    d_rr = scale / ul * gpp[0]
-    d_lr = ((q - 1.0) * i_r - ur * d_rr) / ul
-    d_ll = ((q - 1.0) * i_l - ur * d_lr) / ul
-    return seg, sign * i_l, sign * i_r, d_ll, d_lr, d_rr
-
 
 class _Problem:
     """Penalized MLE objective on the knot-value parametrization."""
@@ -219,7 +107,7 @@ class _Problem:
         self.weights = counts / counts.sum()
         self.dx = np.diff(knots)
         self.s = s
-        self.transform = Transform.log_concave() if s == 0 else Transform.power(s)
+        self.transform = Transform.power(s)
 
     @property
     def n_knots(self) -> int:

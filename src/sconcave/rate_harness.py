@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate as _sintegrate
@@ -85,6 +85,8 @@ class RateStudyResult:
     excluded: int
     flagged_invalid: bool
     sup_phat: Optional[np.ndarray] = None
+    # per excluded replication: n, replication, seed, error text or "not converged"
+    exclusions: List[dict] = field(default_factory=list)
 
     def summary_dict(self) -> dict:
         return {
@@ -93,6 +95,7 @@ class RateStudyResult:
             "quantiles": {m: {str(n): list(q) for n, q in per_n.items()}
                           for m, per_n in self.quantiles.items()},
             "excluded_replications": self.excluded,
+            "exclusions": self.exclusions,
             "flagged_invalid": self.flagged_invalid,
         }
 
@@ -132,7 +135,8 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
 
     Deterministic for a fixed config and seed; replications are independent
     work items and may run in parallel (``cfg.jobs``).  Non-converged fits
-    are excluded from the tables; more than 5% of them flags the study.
+    are excluded from the tables, each with a record in ``exclusions``; more
+    than 5% of them flags the study.
     """
     dist = cfg.distribution
     grid = np.linspace(*(dist.support if math.isfinite(dist.support[0])
@@ -151,17 +155,19 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     shape = (len(cfg.n_grid), cfg.replications)
     raw = {m: np.full(shape, np.nan) for m in cfg.metrics}
     sup_phat = np.full(shape, np.nan) if "sup_compact" in cfg.metrics else None
-    excluded = 0
+    exclusions = []
     for ((_, i, j), res) in zip(tasks, results):
         if not res.get("converged", False):
-            excluded += 1
+            exclusions.append({"n": cfg.n_grid[i], "replication": j,
+                               "seed": derived_seed(cfg.seed, i, j),
+                               "error": res.get("error", "not converged")})
             continue
         for m in cfg.metrics:
             raw[m][i, j] = res[m]
         if sup_phat is not None:
             sup_phat[i, j] = res["sup_phat"]
-    total = len(tasks)
-    flagged = excluded > 0.05 * total
+    excluded = len(exclusions)
+    flagged = excluded > 0.05 * len(tasks)
 
     quantiles: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
     slopes: Dict[str, Tuple[float, float]] = {}
@@ -186,7 +192,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
             slopes[m] = (math.nan, math.nan)
     return RateStudyResult(config=cfg, quantiles=quantiles, slopes=slopes,
                            raw=raw, excluded=excluded, flagged_invalid=flagged,
-                           sup_phat=sup_phat)
+                           sup_phat=sup_phat, exclusions=exclusions)
 
 
 def fit_slope(ns: Sequence[float], errors: Sequence[float]

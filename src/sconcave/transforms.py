@@ -92,7 +92,7 @@ class Transform:
 
     @staticmethod
     def power(s: float) -> "Transform":
-        """Power-family transform h_s for s != 0 (use log_concave for s = 0)."""
+        """Power-family transform h_s; s = 0 gives the log-concave transform exp."""
         if s == 0.0:
             return Transform.log_concave()
         if s < 0:
@@ -438,7 +438,7 @@ def nesting_check(p, s_target: float, grid: Sequence[float]) -> bool:
     ``TOL_INEQUALITY``).  Grid points where the density vanishes (outside the
     support) are skipped with a warning.
     """
-    target = Transform.power(s_target) if s_target != 0 else Transform.log_concave()
+    target = Transform.power(s_target)
     xs = np.asarray(grid, dtype=float)
     pdf = p.pdf if hasattr(p, "pdf") else p
     vals = np.asarray([pdf(float(x)) for x in xs], dtype=float)

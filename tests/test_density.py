@@ -1,15 +1,17 @@
 """Transformed densities: integration oracle checks, distances, envelopes, samplers."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from scipy import integrate as sintegrate
 
 from sconcave.concave_fn import DomainError, PiecewiseConcave, sample_random
-from sconcave.density import (TransformedDensity, check_envelope, envelope_for_class,
-                              hellinger, l1_distance, member_of_class, reference,
-                              sample, upper_bound_f)
+from sconcave.density import (TransformedDensity, _segment_partials, check_envelope,
+                              envelope_for_class, hellinger, l1_distance, member_of_class,
+                              reference, sample, upper_bound_f)
 from sconcave.transforms import Transform
 
 
@@ -63,6 +65,78 @@ class TestIntegrate:
             values = phi.values if s == 0 else phi.values - 2.0
             d = make_density(s, phi.knots, values)
             assert d.integral == pytest.approx(quadrature_oracle(d), rel=1e-8)
+
+
+def decimal_segment(dx, vl, vr, s):
+    """(integral, d/dvl, d/dvr) of h(phi) over one linear segment, at 60 digits.
+
+    Closed forms and their analytic derivatives in stdlib decimal arithmetic;
+    quadrature loses all digits on segments where |phi| spans eight decades.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dx, vl, vr = Decimal(dx), Decimal(vl), Decimal(vr)
+        if s == 0:
+            d, el, er = vr - vl, vl.exp(), vr.exp()
+            return (dx * (er - el) / d, dx * (er - el - d * el) / d ** 2,
+                    dx * (d * er - er + el) / d ** 2)
+        sign = -1 if s < 0 else 1
+        ul, ur = (-vl, -vr) if s < 0 else (vl, vr)
+        q, d = 1 / Decimal(s), ur - ul
+        if q == -1:
+            a = ur.ln() - ul.ln()
+            return dx * a / d, sign * dx * (a - d / ul) / d ** 2, sign * dx * (d / ur - a) / d ** 2
+        a = ur ** (q + 1) - ul ** (q + 1)
+        return (dx * a / ((q + 1) * d),
+                sign * dx * (a - (q + 1) * ul ** q * d) / ((q + 1) * d ** 2),
+                sign * dx * ((q + 1) * ur ** q * d - a) / ((q + 1) * d ** 2))
+
+
+class TestSegmentKernel:
+    """``_segment_partials`` against the decimal oracle.
+
+    |rho| = |ratio - 1| sits at 1e-11, 1e-8 and on both sides of the series
+    switches at 1e-4, 1e-2 and 0.05; s < 0 also takes end ratios from 1e-10
+    to 1e10, as on the tails of heavy-tailed fits.
+    """
+
+    RHO = [1e-11, 1e-8, 9e-5, 1.1e-4, 9e-3, 1.1e-2, 0.049, 0.051, 0.3]
+
+    @classmethod
+    def segments(cls, s):
+        if s == 0:
+            return [(vl, vl + sg * r) for vl in (-1.0, 0.0, 5.0)
+                    for r in cls.RHO + [2.0, 30.0] for sg in (1, -1)]
+        sign = -1.0 if s < 0 else 1.0
+        out = [(sign * u, sign * u * (1 + sg * r)) for u in (1.0, 1e4, 1e8)
+               for r in cls.RHO for sg in (1, -1)]
+        # s > 0 stops at ratio 1e3: larger ratios are outside the kernel's accuracy
+        ratios = (1e-10, 1e-6, 1e-3, 0.1, 10.0, 1e3, 1e6, 1e10) if s < 0 else (1e-3, 0.1, 10.0, 1e3)
+        out += [(sign * u, sign * u * k) for u in (1e-2, 1.0, 1e4, 1e8) for k in ratios
+                if s > 0 or 1e-2 <= u * k <= 1e8]
+        return out
+
+    @pytest.mark.parametrize("s", [0.0, -1 / 3, -0.5, -0.7, -0.9, 0.25, 0.5])
+    def test_matches_decimal_oracle(self, s):
+        segs = self.segments(s)
+        vl, vr = (np.array(side) for side in zip(*segs))
+        got = _segment_partials(np.full(vl.size, 0.37), vl, vr, s)
+        for k, (a, b) in enumerate(segs):
+            want = decimal_segment(0.37, a, b, s)
+            err = [float(abs(Decimal(float(g[k])) - w) / abs(w)) for g, w in zip(got, want)]
+            assert err[0] <= 1e-11, (a, b, err)
+            steep = s < 0 and not 0.5 <= b / a <= 2.0
+            assert max(err[1:]) <= (1e-10 if steep else 1e-7), (a, b, err)
+
+    def test_steep_heavy_tail_segment(self):
+        got = _segment_partials(np.ones(1), np.array([-1e8]), np.array([-3.0]), -0.5)
+        for g, w in zip(got, decimal_segment(1.0, -1e8, -3.0, -0.5)):
+            assert abs(Decimal(float(g[0])) - w) <= Decimal("1e-12") * abs(w)
+
+    def test_near_flat_power_integral(self):
+        d = make_density(-0.5, [0, 1], [-1, -(1 + 1e-8)])
+        want = decimal_segment(1.0, -1.0, -(1 + 1e-8), -0.5)[0]
+        assert abs(Decimal(d.integral) - want) <= Decimal("1e-12") * want
 
 
 class TestNormalize:

@@ -47,7 +47,11 @@ class TestLipschitzCover:
 
     def test_degenerate_when_eps_huge(self):
         bset = cover_lipschitz_concave(0, 1, 1, 1, 5.0)
-        assert not bset.lazy and len(bset.brackets) == 1
+        for member in sample_members(LipschitzConcaveClass(0, 1, 1, 1), 3, 5):
+            bracket = bset.locate(member)
+            assert len(bracket.pieces) == 1 and bracket.support == (0, 1)
+            assert bracket.lower([0.0, 1.0]).tolist() == [-1.0, -1.0]
+            assert bracket.upper([0.0, 1.0]).tolist() == [1.0, 1.0]
         assert bset.log_cardinality == 0.0
 
 

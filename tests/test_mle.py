@@ -1,6 +1,10 @@
 """MLE unit truths: oracles on tiny samples, gradients, equivariance, nonexistence."""
 
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,22 @@ class TestObjective:
     def test_range_violation(self):
         with pytest.raises(ValueError):
             objective([0.5, -1.0], [0.0, 1.0], -0.5)
+
+    def test_stored_kernel_values(self, monkeypatch):
+        # the benchmark's nine fixed objective points and their committed values
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_specs", bench / "specs.py")
+        specs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, specs)  # dataclasses look it up
+        spec.loader.exec_module(specs)
+        stored = json.loads((bench / "fixtures" / "objective_kernel.json").read_text())
+        for sk, s in specs.KERNEL_S.items():
+            for nk, n in specs.KERNEL_N.items():
+                want = stored[f"mle.objective.{sk}.{nk}.us"]
+                x, v = specs.kernel_inputs(s, n)
+                value, grad = objective(v, x, s)
+                assert value == pytest.approx(want["value"], rel=1e-12, abs=0)
+                assert np.linalg.norm(grad) == pytest.approx(want["grad_norm"], rel=1e-12, abs=0)
 
 
 def _concavify(x, v, anchor_w):
@@ -300,7 +320,7 @@ class TestSecondDerivativeKernels:
 
     def test_exprel_second(self):
         from scipy import integrate as sintegrate
-        from sconcave.mle import _exprel
+        from sconcave.density import _exprel
         d = np.array(self.POINTS)
         E, Ep, Epp = _exprel(d, second=True)
         E0, Ep0 = _exprel(d)
@@ -313,10 +333,11 @@ class TestSecondDerivativeKernels:
     @pytest.mark.parametrize("q", [-2.0, 2.0, -4.0, 10.0 / 3.0])
     def test_power_mean_second(self, q):
         from scipy import integrate as sintegrate
-        from sconcave.mle import _power_mean_g
-        rho = np.array(self.POINTS[:-1])  # rho > -1
-        g, gp, gpp = _power_mean_g(rho, q, second=True)
-        g0, gp0 = _power_mean_g(rho, q)
+        from sconcave.density import _power_mean_g
+        ratio = 1.0 + np.array(self.POINTS[:-1])  # rho > -1
+        rho = ratio - 1.0
+        g, gp, gpp = _power_mean_g(ratio, q, second=True)
+        g0, gp0 = _power_mean_g(ratio, q)
         np.testing.assert_array_equal(g, g0)
         np.testing.assert_array_equal(gp, gp0)
         want = [q * (q - 1) * sintegrate.quad(lambda t: t * t * (1 + r * t) ** (q - 2), 0, 1,

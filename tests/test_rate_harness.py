@@ -118,6 +118,9 @@ class TestStudyMechanics:
                               fit_grad_tol=1e-6)
         res = run_rate_study(cfg)
         assert res.excluded == 1
+        assert res.exclusions == [{"n": 100, "replication": 0, "seed": derived_seed(5, 0, 0),
+                                   "error": "RuntimeError('solver failure')"}]
+        assert res.summary_dict()["exclusions"] == res.exclusions
         assert calls == [1e-6] * 9  # the configured tolerance reaches every fit
         row = res.raw["hellinger"][0]
         assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
