@@ -205,7 +205,10 @@ def cmd_entropy_study(config_file, out, seed):
     members = _entropy.sample_members(descriptor, n_members, seed)
     rows = []
     for eps in eps_grid:
-        bset = _entropy.build_cover(descriptor, eps, r)
+        try:
+            bset = _entropy.build_cover(descriptor, eps, r)
+        except ValueError as exc:  # ThresholdError and HypothesisError among them
+            raise CliError(f"eps = {eps}: {exc}")
         rep = _entropy.verify_bracketing(bset, members)
         rows.append({"eps": eps, "log_cardinality": bset.log_cardinality,
                      "max_size": rep.max_observed_size,

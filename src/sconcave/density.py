@@ -115,6 +115,13 @@ def _power_mean_g(ratio: np.ndarray, q: float, second: bool = False
     return g, gp, gpp
 
 
+def _swap_where(flip, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(x, y) with the entries under the mask flip exchanged; as is for None."""
+    if flip is None:
+        return x, y
+    return np.where(flip, y, x), np.where(flip, x, y)
+
+
 def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
                       second: bool = False) -> Tuple[np.ndarray, ...]:
     """Integrals of h(phi) over linear segments and their partials in the end values.
@@ -140,6 +147,10 @@ def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
         return seg, d_l, d_r, d_l - d_lr, d_lr, d_rr
     q = 1.0 / s
     ul, ur = (-vl, -vr) if s < 0 else (vl, vr)
+    # an s > 0 segment rising more than 2x is taken from its larger end, where
+    # ul^q cannot underflow; its end partials swap back below
+    flip = ur > 2.0 * ul if s > 0 else None
+    ul, ur = _swap_where(flip, ul, ur)
     ratio = ur / ul
     g, gp, *gpp = _power_mean_g(ratio, q, second)
     scale = dx * np.power(ul, q)
@@ -148,12 +159,14 @@ def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
     i_l = scale * (q * g - gp * ratio)
     i_r = scale * gp
     sign = -1.0 if s < 0 else 1.0
+    d_l, d_r = _swap_where(flip, sign * i_l, sign * i_r)
     if not second:
-        return seg, sign * i_l, sign * i_r
+        return seg, d_l, d_r
     d_rr = scale / ul * gpp[0]
     d_lr = ((q - 1.0) * i_r - ur * d_rr) / ul
     d_ll = ((q - 1.0) * i_l - ur * d_lr) / ul
-    return seg, sign * i_l, sign * i_r, d_ll, d_lr, d_rr
+    d_ll, d_rr = _swap_where(flip, d_ll, d_rr)
+    return seg, d_l, d_r, d_ll, d_lr, d_rr
 
 
 def _segment_integrals(transform: Transform, knots: np.ndarray,
@@ -369,11 +382,9 @@ def member_of_class(p: TransformedDensity, M: float) -> bool:
     sup_p = float(np.max(p.pdf(p.phi.knots)))
     if sup_p > M * (1.0 + ENVELOPE_SLACK):
         return False
-    grid = np.linspace(-1.0, 1.0, 512)
-    inner_knots = p.phi.knots[(p.phi.knots > -1.0) & (p.phi.knots < 1.0)]
-    grid = np.unique(np.concatenate((grid, inner_knots)))
-    vals = p.pdf(grid)
-    return bool(np.min(vals) >= 1.0 / M * (1.0 - ENVELOPE_SLACK))
+    # phi is concave and h increasing, so the minimum over [-1, 1] is at an end
+    ends = p.pdf(np.array([-1.0, 1.0]))
+    return bool(np.min(ends) >= 1.0 / M * (1.0 - ENVELOPE_SLACK))
 
 
 @dataclass(frozen=True)
@@ -552,10 +563,6 @@ class ReferenceDistribution:
             mag = np.power(1.0 - w, -1.0 / (b - 1.0)) - 1.0
             out = np.sign(2.0 * ua - 1.0) * mag
         return out if isinstance(u, np.ndarray) else float(out)
-
-    @property
-    def mode_height(self) -> float:
-        return float(self.pdf(0.0)) if self.name != "uniform" else 1.0
 
 
 def reference(name: str, beta: float = 3.0) -> ReferenceDistribution:

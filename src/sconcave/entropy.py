@@ -18,6 +18,13 @@ Four nested constructions:
 Bracket families are combinatorially large, so a BracketSet is stored lazily:
 its exact log-cardinality comes from the generator parameter space, and
 ``locate`` materializes the single bracket containing a given member.
+
+Verification is exact.  Each bracket side is a constant, a piecewise-linear
+function, h of a clipped one, or the class envelope, so between a piece's
+breakpoints, the member's knots and its crossings of h's zero point, both
+sides and h^-1 of the member are linear; h is increasing, so a member that
+sits between the sides at those points sits between them everywhere.  L_r
+sizes integrate by Gauss-Legendre panels between the same breakpoints.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .concave_fn import PiecewiseConcave, sample_random
-from .density import EnvelopeFn, TransformedDensity, envelope_for_class, member_of_class
+from .density import (EnvelopeFn, TransformedDensity, _piecewise_gl, envelope_for_class,
+                      member_of_class)
 from .transforms import Transform, UnsupportedTransformError
 
 EPS0 = 0.25      # validity threshold of the level-wise transformed cover
@@ -96,12 +104,18 @@ def _eval_spec(spec, x: np.ndarray) -> np.ndarray:
         _, xs, vs = spec
         return np.interp(x, xs, vs)
     if kind == "hpl_clip":
-        _, transform, xs, vs, f_lo, f_hi = spec
-        vals = transform._eval_array(np.interp(x, xs, vs))
-        return np.clip(vals, f_lo, f_hi)
+        _, transform, xs, vs, y_lo, y_hi = spec
+        return transform._eval_array(np.clip(np.interp(x, xs, vs), y_lo, y_hi))
     if kind == "env":
         return spec[1](x)
     raise ValueError(f"unknown piece spec {kind!r}")
+
+
+def _crossings(xs: np.ndarray, vs: np.ndarray, y: float) -> np.ndarray:
+    """Points where the piecewise-linear function (xs, vs) crosses the level y."""
+    d = vs - y
+    i = np.flatnonzero(d[:-1] * d[1:] < 0)
+    return xs[i] + d[i] / (d[i] - d[i + 1]) * (xs[i + 1] - xs[i])
 
 
 @dataclass
@@ -112,8 +126,40 @@ class BracketPiece:
     upper: tuple
     exact_size_r: Optional[float] = None  # closed-form integral of (u - l)^r
 
-    def gap(self, x: np.ndarray) -> np.ndarray:
-        return _eval_spec(self.upper, x) - _eval_spec(self.lower, x)
+    def breakpoints(self) -> np.ndarray:
+        """The ends, the sides' knots inside the piece and their clip crossings.
+
+        Between consecutive breakpoints each side is h of a function linear in
+        x (h the identity for phi-space sides).  The envelope side sits beyond
+        its cutoff, where for the power family (s < 0) it is h of a linear one.
+        """
+        pts = [np.array([self.a, self.b])]
+        for spec in (self.lower, self.upper):
+            if spec[0] == "pl":
+                pts.append(spec[1])
+            elif spec[0] == "hpl_clip":
+                _, _, xs, vs, y_lo, y_hi = spec
+                pts += [xs, _crossings(xs, vs, y_lo), _crossings(xs, vs, y_hi)]
+        if len(pts) == 1:
+            return pts[0]
+        x = np.unique(np.concatenate(pts))
+        return x[(x >= self.a) & (x <= self.b)]
+
+
+def _sides_on(pieces: Sequence[BracketPiece], x: np.ndarray):
+    """Both sides of each piece on its slice of the sorted points x.
+
+    Returns (idx, low, up, starts, stops): x[starts[k]:stops[k]] are the points
+    of pieces[k] in [a, b]; idx, low and up run through these slices in turn.
+    """
+    a = np.array([p.a for p in pieces])
+    b = np.array([p.b for p in pieces])
+    starts, stops = np.searchsorted(x, a), np.searchsorted(x, b, side="right")
+    counts = stops - starts
+    idx = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
+    low = np.concatenate([_eval_spec(p.lower, x[i:j]) for p, i, j in zip(pieces, starts, stops)])
+    up = np.concatenate([_eval_spec(p.upper, x[i:j]) for p, i, j in zip(pieces, starts, stops)])
+    return idx, low, up, starts, stops
 
 
 @dataclass
@@ -126,39 +172,17 @@ class Bracket:
     def support(self) -> Tuple[float, float]:
         return self.pieces[0].a, self.pieces[-1].b
 
-    def lower(self, x) -> np.ndarray:
-        return self._eval_side(x, "lower")
+    def size_lr(self, r: float) -> float:
+        """L_r size of the bracket: closed forms where pieces carry them,
+        Gauss-Legendre panels between the other pieces' breakpoints."""
+        rest = [p for p in self.pieces if p.exact_size_r is None]
 
-    def upper(self, x) -> np.ndarray:
-        return self._eval_side(x, "upper")
+        def gap_r(x):  # |u - l|^r, summed over the pieces that hold x
+            idx, low, up, _, _ = _sides_on(rest, x)
+            return np.bincount(idx, np.abs(up - low) ** r, minlength=x.size)
 
-    def _eval_side(self, x, side: str) -> np.ndarray:
-        # at shared piece boundaries the envelope is the max of uppers and
-        # the min of lowers over every piece containing the point
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        upper = side == "upper"
-        out = np.full_like(xa, -math.inf if upper else math.inf)
-        hit = np.zeros(xa.shape, dtype=bool)
-        for p in self.pieces:
-            m = (xa >= p.a) & (xa <= p.b)
-            if np.any(m):
-                vals = _eval_spec(getattr(p, side), xa[m])
-                out[m] = np.maximum(out[m], vals) if upper else np.minimum(out[m], vals)
-                hit |= m
-        out[~hit] = 0.0 if upper else -math.inf
-        return out
-
-    def size_lr(self, r: float, grid_per_piece: int = 256) -> float:
-        """L_r size of the bracket, exact where pieces carry closed forms."""
-        total = 0.0
-        for p in self.pieces:
-            if p.exact_size_r is not None:
-                total += p.exact_size_r
-                continue
-            if p.b <= p.a:
-                continue
-            xs = np.linspace(p.a, p.b, grid_per_piece)
-            total += float(np.trapezoid(np.abs(p.gap(xs)) ** r, xs))
+        total = _piecewise_gl(gap_r, np.unique(np.concatenate([p.breakpoints() for p in rest])))
+        total += sum(p.exact_size_r for p in self.pieces if p.exact_size_r is not None)
         return total ** (1.0 / r)
 
 
@@ -187,15 +211,10 @@ class BracketSet:
 # Lipschitz concave cover (sup norm): quantized tangent envelopes
 # ----------------------------------------------------------------------
 
-def _member_slopes(phi: PiecewiseConcave, a: float, b: float):
-    """Knots and per-segment slopes of a member restricted to [a, b]."""
-    seg = phi.restrict_domain((a, b))
-    return seg.knots, seg.values, seg.slopes
-
-
 def _greedy_contacts(phi: PiecewiseConcave, a: float, b: float, tau: float):
     """Contact points with (run) x (slope drop) <= 4*tau between neighbours."""
-    knots, values, slopes = _member_slopes(phi, a, b)
+    seg = phi.restrict_domain((a, b))
+    knots, values, slopes = seg.knots, seg.values, seg.slopes
     if knots.size == 1 or slopes.size == 0:
         return [(float(knots[0]), float(values[0]), 0.0)]
     contacts = []
@@ -439,9 +458,6 @@ class _NormalizedTransform:
         else:
             self.y0 = t.y0_tilde - self.shift
 
-    def eval(self, y: float) -> float:
-        return self.base.eval(y + self.shift) / self.B
-
     def inverse(self, u: float) -> float:
         return self.base.inverse(self.B * u) - self.shift
 
@@ -490,20 +506,17 @@ def _phi_piece_to_f(piece: BracketPiece, t: Transform, offset: float,
                     y_lo: float, y_hi: float) -> BracketPiece:
     """Map a phi-space bracket piece through h, clipping values into a level band."""
 
-    def convert(spec, side):
+    def convert(spec):
         kind = spec[0]
         if kind == "const":
             y = min(max(spec[1] + offset, y_lo), y_hi)
             return ("const", t.eval(y))
         if kind == "pl":
             _, xs, vs = spec
-            f_lo, f_hi = t.eval(y_lo), t.eval(y_hi)
-            return ("hpl_clip", t, xs, vs + offset, f_lo, f_hi)
+            return ("hpl_clip", t, xs, vs + offset, y_lo, y_hi)
         raise ValueError(f"cannot transform piece kind {kind!r}")
 
-    return BracketPiece(piece.a, piece.b,
-                        convert(piece.lower, "lower"),
-                        convert(piece.upper, "upper"))
+    return BracketPiece(piece.a, piece.b, convert(piece.lower), convert(piece.upper))
 
 
 def cover_transformed(t: Transform, b1: float, b2: float, B: float,
@@ -609,11 +622,13 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
                         pieces.append(_phi_piece_to_f(
                             piece, t, center + hn.shift,
                             y_lo + hn.shift, y_hi + hn.shift))
-                ring_base = _hull(covered, (p_lo, p_hi))
-            else:
-                ring_base = covered
+            ring = _interval_diff(i_u, covered)
+            if has_pair:
+                # subtract covered and the pair in turn: their hull would hide
+                # a stretch between the inward-rounded pair and covered
+                ring = [q for part in ring for q in _interval_diff(part, (p_lo, p_hi))]
             plateau = hn.to_f_units(y_hi)
-            for part_lo, part_hi in _interval_diff(i_u, ring_base):
+            for part_lo, part_hi in ring:
                 pieces.append(BracketPiece(part_lo, part_hi,
                                            ("const", 0.0), ("const", plateau)))
             covered = _hull(covered, i_u)
@@ -753,8 +768,8 @@ def _mirror_spec(spec):
         _, xs, vs = spec
         return ("pl", -xs[::-1], vs[::-1])
     if kind == "hpl_clip":
-        _, transform, xs, vs, f_lo, f_hi = spec
-        return ("hpl_clip", transform, -xs[::-1], vs[::-1], f_lo, f_hi)
+        _, transform, xs, vs, y_lo, y_hi = spec
+        return ("hpl_clip", transform, -xs[::-1], vs[::-1], y_lo, y_hi)
     raise ValueError(f"cannot mirror piece kind {kind!r}")
 
 # ----------------------------------------------------------------------
@@ -770,75 +785,54 @@ class VerificationReport:
     vacuous: bool = False
 
 
-def _member_view(member):
-    """(eval in function space, support) for phi- or density-space members."""
-    if isinstance(member, PiecewiseConcave):
-        return (lambda x: member.eval(np.asarray(x, dtype=float)),
-                member.domain, member.knots)
-    if isinstance(member, TransformedDensity):
-        return (lambda x: member.pdf(np.asarray(x, dtype=float)),
-                member.support, member.phi.knots)
-    if hasattr(member, "pdf") and hasattr(member, "support"):
-        knots = member.phi.knots if hasattr(member, "phi") else np.asarray([])
-        return (lambda x: np.asarray(member.pdf(np.asarray(x, dtype=float))),
-                tuple(member.support), knots)
-    raise TypeError(f"cannot interpret member of type {type(member).__name__}")
+def _covers(bracket: Bracket, member) -> bool:
+    """Whether a phi-space or density member lies between the bracket's sides.
 
-
-def _probe_grid(bracket: Bracket, support: Tuple[float, float],
-                knots: np.ndarray, density: int) -> np.ndarray:
-    pts = [np.asarray(knots, dtype=float)]
-    finite = [p for p in bracket.pieces if math.isfinite(p.a) and math.isfinite(p.b)]
-    lo = min(p.a for p in finite)
-    hi = max(p.b for p in finite)
-    lo = max(lo, support[0] - 2.0 * (support[1] - support[0]) - 10.0)
-    hi = min(hi, support[1] + 2.0 * (support[1] - support[0]) + 10.0)
-    per_piece = max(16, density // max(1, len(finite)))
-    for p in finite:
-        a, b = max(p.a, lo), min(p.b, hi)
-        if b > a:
-            pts.append(np.linspace(a, b, per_piece))
-    # geometric refinement near the member support endpoints, where
-    # transformed functions jump to zero
-    width = max(support[1] - support[0], 1e-6)
-    offs = width * np.power(2.0, -np.arange(1, 28, dtype=float))
-    for e in support:
-        pts.append(e + offs)
-        pts.append(e - offs)
-    grid = np.unique(np.concatenate(pts))
-    return grid[(grid >= lo) & (grid <= hi)]
-
-
-def verify_bracketing(bset: BracketSet, members: Sequence[object],
-                      grid_density: int = 2048) -> VerificationReport:
-    """Empirical check that every member sits inside its assigned bracket.
-
-    Coverage is tested pointwise on a probe grid (piece-aligned, refined near
-    each member's support endpoints); the observed L_r bracket sizes are
-    measured on the same resolution.
+    Decided at the breakpoints (module docstring).  A density member is 0 off
+    its support: at a piece's ends only the limit from inside the piece counts,
+    at a support end inside a piece both one-sided limits do.  A phi-space
+    member is unconstrained off its domain.
     """
+    phi = getattr(member, "phi", member)
+    if not isinstance(phi, PiecewiseConcave):
+        raise TypeError(f"cannot interpret member of type {type(member).__name__}")
+    t = getattr(member, "transform", None)
+    s_lo, s_hi = phi.domain
+    cuts = [] if t is None else [_crossings(phi.knots, phi.values, t.y0_tilde)]
+    x = np.unique(np.concatenate([p.breakpoints() for p in bracket.pieces] + [phi.knots] + cuts))
+    # one-sided limits of the member at x; nan where unconstrained
+    v, off = (phi.eval(x), math.nan) if t is None else (t._eval_array(phi.eval(x)), 0.0)
+    left = np.where((x > s_lo) & (x <= s_hi), v, off)
+    right = np.where((x >= s_lo) & (x < s_hi), v, off)
+    peak = np.max(np.abs(phi.values if t is None else t._eval_array(phi.values)))
+    tol = COVER_TOL * max(1.0, float(peak))
+    idx, low, up, starts, stops = _sides_on(bracket.pieces, x)
+    # a stretch of the support in no piece leaves the member uncovered; ends of
+    # separate linspace grids may sit 1 ulp apart, so gaps up to 1e-12 relative close
+    depth = np.cumsum(np.bincount(starts, minlength=x.size)
+                      - np.bincount(stops - 1, minlength=x.size))
+    hole = (depth[:-1] == 0) & (x[:-1] >= s_lo) & (x[1:] <= s_hi)
+    if np.any(hole & (np.diff(x) > 1e-12 * np.abs(x[1:]))):
+        return False
+    # the left limit counts on (a, b], the right limit on [a, b)
+    lim_l = np.where(idx > np.repeat(starts, stops - starts), left[idx], math.nan)
+    lim_r = np.where(idx < np.repeat(stops - 1, stops - starts), right[idx], math.nan)
+    return not (np.any(low > np.fmin(lim_l, lim_r) + tol)
+                or np.any(np.fmax(lim_l, lim_r) > up + tol))
+
+
+def verify_bracketing(bset: BracketSet, members: Sequence[object]) -> VerificationReport:
+    """Exact check that every member sits inside its assigned bracket
+    (``_covers``), with the L_r bracket sizes of ``Bracket.size_lr``."""
     if len(members) == 0:
         return VerificationReport(1.0, 0.0, None, 0, vacuous=True)
-    phi_space = isinstance(bset.class_descriptor,
-                           (LipschitzConcaveClass, BoundedConcaveClass))
     covered = 0
     max_size = 0.0
     worst = None
     r = bset.r if math.isfinite(bset.r) else 1.0
     for idx, member in enumerate(members):
-        f, support, knots = _member_view(member)
         bracket = bset.locate(member)
-        grid = _probe_grid(bracket, support, knots, grid_density)
-        if phi_space:
-            # concave members are -inf off their domain; probe inside it
-            grid = grid[(grid >= support[0]) & (grid <= support[1])]
-        vals = f(grid)
-        lo = bracket.lower(grid)
-        up = bracket.upper(grid)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        ok = bool(np.all(lo <= vals + COVER_TOL * scale)
-                  and np.all(vals <= up + COVER_TOL * scale))
-        covered += ok
+        covered += _covers(bracket, member)
         size = bracket.size_lr(r)
         if size > max_size:
             max_size = size
@@ -1010,10 +1004,5 @@ class _TransformedMember:
         return self.phi.domain
 
     def pdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros_like(xa)
-        lo, hi = self.phi.domain
-        m = (xa >= lo) & (xa <= hi)
-        if np.any(m):
-            out[m] = self.transform._eval_array(self.phi.eval(xa[m]))
-        return out
+        # phi is -inf off its domain, where h is 0
+        return self.transform._eval_array(self.phi.eval(np.asarray(x, dtype=float)))

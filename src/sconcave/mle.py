@@ -46,7 +46,6 @@ class FitConfig:
     # cone stationarity ties the integral gap to grad_tol * sqrt(n); the
     # default leaves room for samples up to ~10^10 points
     integral_tol: float = 1e-5
-    backtrack_shrink: float = 0.5
 
     def __post_init__(self):
         if not self.s > -1.0:
@@ -366,8 +365,7 @@ class _ActiveSet:
 
 
 def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
-                    cfg: FitConfig, inner_tol: float, budget: int
-                    ) -> Tuple[_ActiveSet, np.ndarray, int]:
+                    inner_tol: float, budget: int) -> Tuple[_ActiveSet, np.ndarray, int]:
     """Maximize the objective over the current kink set in at most ``budget`` evaluations.
 
     Damped Newton steps on the kink values use the exact tridiagonal Hessian,
@@ -436,7 +434,7 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                     val, grad, diag, off = trial_eval
                     moved = True
                     break
-                t *= cfg.backtrack_shrink
+                t *= 0.5
             if moved:
                 if tight is not None and t >= 0.999 * t_max and active.kinks.size > 2:
                     # the step flattened this kink exactly: remove it
@@ -514,8 +512,8 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     best = None  # (objective, kink set, kink values) of the best certified iterate
     prev_val = -math.inf
     while iterations < budget:
-        active, u, evals = _reduced_newton(prob, active, u, cfg,
-                                           INNER_TOL * cfg.grad_tol, budget - iterations)
+        active, u, evals = _reduced_newton(prob, active, u, INNER_TOL * cfg.grad_tol,
+                                           budget - iterations)
         iterations += evals
         v = active.expand(u)
         cur_val, grad = prob.value_and_grad(v)

@@ -175,6 +175,18 @@ class TestEntropyStudy:
         assert 0.4 <= doc["fitted_exponent"] <= 0.7
         assert all(row["covered_fraction"] == 1.0 for row in doc["rows"])
 
+    def test_eps_above_threshold_is_an_error(self, runner, tmp_path):
+        cfg = {"version": 1, "class": "bounded_concave",
+               "params": {"b1": 0.0, "b2": 1.0, "B": 1.0},
+               "eps_grid": [0.5, 0.2, 0.1, 0.05], "r": 1.0, "members": 10}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["entropy-study", str(cfg_path), "--seed", "5",
+                                 "--out", str(tmp_path / "ent")])
+        assert r.exit_code == 1
+        assert "eps = 0.5" in r.output and "eps_3" in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
 
 class TestEnvelopeCheck:
     def test_vacuous_below_two(self, runner, tmp_path):

@@ -96,8 +96,8 @@ class TestSegmentKernel:
     """``_segment_partials`` against the decimal oracle.
 
     |rho| = |ratio - 1| sits at 1e-11, 1e-8 and on both sides of the series
-    switches at 1e-4, 1e-2 and 0.05; s < 0 also takes end ratios from 1e-10
-    to 1e10, as on the tails of heavy-tailed fits.
+    switches at 1e-4, 1e-2 and 0.05; s != 0 also takes end ratios from 1e-10
+    to 1e10, as on the tails of heavy-tailed fits and on steep s > 0 segments.
     """
 
     RHO = [1e-11, 1e-8, 9e-5, 1.1e-4, 9e-3, 1.1e-2, 0.049, 0.051, 0.3]
@@ -110,11 +110,10 @@ class TestSegmentKernel:
         sign = -1.0 if s < 0 else 1.0
         out = [(sign * u, sign * u * (1 + sg * r)) for u in (1.0, 1e4, 1e8)
                for r in cls.RHO for sg in (1, -1)]
-        # s > 0 stops at ratio 1e3: larger ratios are outside the kernel's accuracy
-        ratios = (1e-10, 1e-6, 1e-3, 0.1, 10.0, 1e3, 1e6, 1e10) if s < 0 else (1e-3, 0.1, 10.0, 1e3)
+        ratios = (1e-10, 1e-6, 1e-3, 0.1, 10.0, 1e3, 1e6, 1e10)
         out += [(sign * u, sign * u * k) for u in (1e-2, 1.0, 1e4, 1e8) for k in ratios
                 if s > 0 or 1e-2 <= u * k <= 1e8]
-        return out
+        return out + [(3.0, 1e8), (1e8, 3.0)] if s > 0 else out
 
     @pytest.mark.parametrize("s", [0.0, -1 / 3, -0.5, -0.7, -0.9, 0.25, 0.5])
     def test_matches_decimal_oracle(self, s):
@@ -125,13 +124,20 @@ class TestSegmentKernel:
             want = decimal_segment(0.37, a, b, s)
             err = [float(abs(Decimal(float(g[k])) - w) / abs(w)) for g, w in zip(got, want)]
             assert err[0] <= 1e-11, (a, b, err)
-            steep = s < 0 and not 0.5 <= b / a <= 2.0
+            steep = s != 0 and not 0.5 <= b / a <= 2.0
             assert max(err[1:]) <= (1e-10 if steep else 1e-7), (a, b, err)
 
     def test_steep_heavy_tail_segment(self):
         got = _segment_partials(np.ones(1), np.array([-1e8]), np.array([-3.0]), -0.5)
         for g, w in zip(got, decimal_segment(1.0, -1e8, -3.0, -0.5)):
             assert abs(Decimal(float(g[0])) - w) <= Decimal("1e-12") * abs(w)
+
+    def test_steep_segment_at_small_positive_s(self):
+        # from its small end, ul^q underflowed to 0 and the integral was nan
+        got = _segment_partials(np.ones(1), np.array([1e-10]), np.array([1.0]), 0.01)
+        for g, w in zip(got, decimal_segment(1.0, 1e-10, 1.0, 0.01)):
+            assert abs(Decimal(float(g[0])) - w) <= Decimal("1e-12") * abs(w)
+        assert make_density(0.01, [0, 1], [1e-10, 1.0]).integral == pytest.approx(1 / 101)
 
     def test_near_flat_power_integral(self):
         d = make_density(-0.5, [0, 1], [-1, -(1 + 1e-8)])

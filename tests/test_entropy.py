@@ -1,13 +1,16 @@
 """Bracketing covers: validity, size law, exponent law, and tail behavior."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sconcave.entropy import (BoundedConcaveClass, HypothesisError,
-                              LipschitzConcaveClass, TailClass, ThresholdError,
-                              TransformedCompactClass, build_cover,
+from sconcave.concave_fn import PiecewiseConcave
+from sconcave.density import TransformedDensity
+from sconcave.entropy import (BoundedConcaveClass, Bracket, BracketPiece, BracketSet,
+                              HypothesisError, LipschitzConcaveClass, TailClass,
+                              ThresholdError, TransformedCompactClass, build_cover,
                               cover_bounded_concave, cover_lipschitz_concave,
                               cover_tail_class, cover_transformed, entropy_curve,
                               sample_density_class_members, sample_members,
@@ -19,7 +22,7 @@ class TestLipschitzCover:
     def test_validity_and_size(self):
         bset = cover_lipschitz_concave(0.0, 1.0, 1.0, 1.0, 0.5)
         members = sample_members(LipschitzConcaveClass(0, 1, 1, 1), 200, 11)
-        rep = verify_bracketing(bset, members, 512)
+        rep = verify_bracketing(bset, members)
         assert rep.covered_fraction == 1.0
         assert rep.max_observed_size <= 0.5
 
@@ -28,7 +31,7 @@ class TestLipschitzCover:
         sizes = []
         for eps in (0.4, 0.2):
             rep = verify_bracketing(cover_lipschitz_concave(0, 1, 1, 1, eps),
-                                    members, 512)
+                                    members)
             assert rep.covered_fraction == 1.0
             sizes.append(rep.max_observed_size)
         assert sizes[1] <= sizes[0]
@@ -50,8 +53,8 @@ class TestLipschitzCover:
         for member in sample_members(LipschitzConcaveClass(0, 1, 1, 1), 3, 5):
             bracket = bset.locate(member)
             assert len(bracket.pieces) == 1 and bracket.support == (0, 1)
-            assert bracket.lower([0.0, 1.0]).tolist() == [-1.0, -1.0]
-            assert bracket.upper([0.0, 1.0]).tolist() == [1.0, 1.0]
+            piece = bracket.pieces[0]
+            assert (piece.lower, piece.upper) == (("const", -1.0), ("const", 1.0))
         assert bset.log_cardinality == 0.0
 
 
@@ -64,7 +67,7 @@ class TestBoundedConcaveCover:
     def test_bracketing_500_members(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 1.0)
         members = sample_members(BoundedConcaveClass(0, 1, 1), 500, 7)
-        rep = verify_bracketing(bset, members, 1024)
+        rep = verify_bracketing(bset, members)
         assert rep.covered_fraction == 1.0
         assert rep.max_observed_size <= 0.1
 
@@ -80,7 +83,7 @@ class TestBoundedConcaveCover:
     def test_r2_cover(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 2.0)
         members = sample_members(BoundedConcaveClass(0, 1, 1), 100, 3)
-        rep = verify_bracketing(bset, members, 1024)
+        rep = verify_bracketing(bset, members)
         assert rep.covered_fraction == 1.0
         assert rep.max_observed_size <= 0.1
 
@@ -99,9 +102,28 @@ class TestTransformedCover:
         t = Transform.power(-1.0)
         bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)
         members = sample_members(TransformedCompactClass(t, 0, 1, 1), 300, 21)
-        rep = verify_bracketing(bset, members, 1024)
+        rep = verify_bracketing(bset, members)
         assert rep.covered_fraction == 1.0
         assert rep.max_observed_size <= 4.0 * 0.1  # constant reported below
+
+    def test_located_pieces_tile_the_support(self):
+        # the level-2 pair, rounded inward on a coarser grid, used to leave
+        # (0.555, 0.5556) of member 38's support in no piece
+        t = Transform.power(-1.0)
+        bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)
+        member = sample_members(TransformedCompactClass(t, 0, 1, 1), 39, 21)[38]
+        lo, hi = member.support
+        pieces = [p for p in bset.locate(member).pieces if p.b > lo and p.a < hi]
+        assert pieces[0].a <= lo and max(p.b for p in pieces) >= hi
+        for p, q in zip(pieces, pieces[1:]):
+            assert q.a - p.b <= 1e-12 * max(abs(q.a), 1.0), (p.b, q.a)
+
+    def test_no_hole_at_seed_7(self):
+        # member 164 sat 0.496 high in a stretch (0.35, 0.35185) with no piece
+        t = Transform.power(-1.0)
+        bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)
+        members = sample_members(TransformedCompactClass(t, 0, 1, 1), 200, 7)
+        assert verify_bracketing(bset, members).covered_fraction == 1.0
 
     def test_size_constant_stable(self):
         t = Transform.power(-1.0)
@@ -109,7 +131,7 @@ class TestTransformedCover:
         ratios = []
         for eps in (0.2, 0.1, 0.05, 0.025):
             rep = verify_bracketing(cover_transformed(t, 0, 1, 1, eps, 2.0),
-                                    members, 512)
+                                    members)
             assert rep.covered_fraction == 1.0
             ratios.append(rep.max_observed_size / eps)
         assert max(ratios) <= 1.25 * np.mean(ratios)
@@ -130,7 +152,7 @@ class TestTransformedCover:
         t = Transform.power(0.5)
         bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)
         members = sample_members(TransformedCompactClass(t, 0, 1, 1), 100, 9)
-        rep = verify_bracketing(bset, members, 512)
+        rep = verify_bracketing(bset, members)
         assert rep.covered_fraction == 1.0
 
     def test_threshold_error(self):
@@ -150,7 +172,7 @@ class TestTailClassCover:
         ratios = []
         for eps in (0.12, 0.06, 0.03):
             bset = cover_tail_class(t, 2.0, eps, 2.0)
-            rep = verify_bracketing(bset, members, 1024)
+            rep = verify_bracketing(bset, members)
             assert rep.covered_fraction == 1.0
             ratios.append(rep.max_observed_size / eps)
         assert max(ratios) <= 1.2 * np.mean(ratios)
@@ -182,14 +204,77 @@ class TestTailClassCover:
 class TestVerifyBracketing:
     def test_vacuous_empty_members(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 1.0)
-        rep = verify_bracketing(bset, [], 256)
+        rep = verify_bracketing(bset, [])
         assert rep.covered_fraction == 1.0
         assert rep.vacuous
+
+    @staticmethod
+    def single(descriptor, *pieces):
+        bracket = Bracket(list(pieces))
+        return BracketSet(descriptor, 0.1, 1.0, 0.0, 1.0, locate=lambda member: bracket)
+
+    @staticmethod
+    def uniform_on_half():
+        # density 2 on [0, 0.5] and 0 beyond, with its class on [0, 1]
+        t = Transform.power(-1.0)
+        return (TransformedCompactClass(t, 0, 1, 2),
+                TransformedDensity(t, PiecewiseConcave([0.0, 0.5], [-0.5, -0.5])))
+
+    def test_narrow_spike_above_the_member(self):
+        # the lower side peaks 1e-6 above a flat member over a 6.7e-5 stretch
+        xp = 0.3 + 1e-4 / 3
+        lower = ("pl", np.array([0.0, 0.3, xp, 0.3 + 2e-4 / 3, 1.0]),
+                 np.array([-1.0, -1.0, 1e-6, -1.0, -1.0]))
+        bset = self.single(LipschitzConcaveClass(0, 1, 1, 1),
+                           BracketPiece(0.0, 1.0, lower, ("const", 1.0)))
+        flat = PiecewiseConcave([0.0, 1.0], [0.0, 0.0])
+        assert verify_bracketing(bset, [flat]).covered_fraction == 0.0
+
+    def test_support_end_inside_a_piece(self):
+        # just past 0.5 the member is 0 and the lower side is still near 1
+        lower = ("pl", np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, -1.0]))
+        desc, member = self.uniform_on_half()
+        bset = self.single(desc, BracketPiece(0.0, 1.0, lower, ("const", 3.0)))
+        assert verify_bracketing(bset, [member]).covered_fraction == 0.0
+
+    def test_support_end_at_a_piece_start(self):
+        desc, member = self.uniform_on_half()
+        bset = self.single(desc, BracketPiece(0.0, 0.5, ("const", 1.0), ("const", 3.0)),
+                           BracketPiece(0.5, 1.0, ("const", 0.0), ("const", 0.0)))
+        assert verify_bracketing(bset, [member]).covered_fraction == 1.0
+
+    def test_stretch_in_no_piece(self):
+        desc, member = self.uniform_on_half()
+        wide = (("const", -1.0), ("const", 3.0))
+        for seam, covered in ((0.3, 0.0), (np.nextafter(0.25, 1.0), 1.0)):
+            bset = self.single(desc, BracketPiece(0.0, 0.25, *wide),
+                               BracketPiece(seam, 1.0, *wide))
+            assert verify_bracketing(bset, [member]).covered_fraction == covered
+
+    def test_clip_crossing_between_knots(self):
+        # h(clip(pl, -4, -1)) turns flat at x = 0.5, where the member is at
+        # h(-2.4); at the knots 0 and 1 the member is above the lower side
+        t = Transform.power(-1.0)
+        lower = ("hpl_clip", t, np.array([0.0, 1.0]), np.array([-4.0, 2.0]), -4.0, -1.0)
+        bset = self.single(TransformedCompactClass(t, 0, 1, 10),
+                           BracketPiece(0.0, 1.0, lower, ("const", 10.0)))
+        member = TransformedDensity(t, PiecewiseConcave([0.0, 1.0], [-3.9, -0.9]))
+        assert verify_bracketing(bset, [member]).covered_fraction == 0.0
+
+    def test_member_crossing_of_the_zero_point(self):
+        # s = 1/2: h(phi) = 0 until phi crosses 0 at x = 0.5, where the lower
+        # side is already h(0.25)
+        t = Transform.power(0.5)
+        lower = ("hpl_clip", t, np.array([0.0, 1.0]), np.array([-0.5, 1.0]), 0.0, 2.0)
+        bset = self.single(TransformedCompactClass(t, 0, 1, 10),
+                           BracketPiece(0.0, 1.0, lower, ("const", 10.0)))
+        member = SimpleNamespace(transform=t, phi=PiecewiseConcave([0.0, 1.0], [-1.0, 1.0]))
+        assert verify_bracketing(bset, [member]).covered_fraction == 0.0
 
     def test_reports_worst_member(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 1.0)
         members = sample_members(BoundedConcaveClass(0, 1, 1), 20, 4)
-        rep = verify_bracketing(bset, members, 512)
+        rep = verify_bracketing(bset, members)
         assert rep.worst_member is not None
         assert 0 <= rep.worst_member < 20
 
