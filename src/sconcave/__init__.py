@@ -15,7 +15,7 @@ from .rate_harness import (RateStudyConfig, RateStudyResult,
                            consistency_diagnostics, fit_slope,
                            rate_equation_check, run_rate_study)
 from .transforms import (Transform, check_assumptions, check_s_concavity,
-                         generalized_mean, nesting_check, sqrt_transform)
+                         generalized_mean, nesting_check)
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "RateStudyConfig", "RateStudyResult", "consistency_diagnostics",
     "fit_slope", "rate_equation_check", "run_rate_study",
     "Transform", "check_assumptions", "check_s_concavity", "generalized_mean",
-    "nesting_check", "sqrt_transform",
+    "nesting_check",
 ]

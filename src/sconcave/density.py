@@ -4,9 +4,8 @@ Integration of a piecewise-linear ``phi`` through the exponential or a power
 transform has closed forms per segment.  One kernel, ``_segment_partials``,
 returns them with their partials in the end values; it gives
 ``TransformedDensity.integral`` and the MLE objective of ``sconcave.mle``.
-General transforms integrate each segment by adaptive quadrature.  Hellinger
-and L1 distances integrate piecewise between the union of knots so the
-integrand is smooth on every subinterval.
+Hellinger and L1 distances integrate piecewise between the union of knots so
+the integrand is smooth on every subinterval.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate as _sintegrate
 from scipy import special as _sspecial
 
 from .concave_fn import DomainError, PiecewiseConcave
@@ -169,24 +167,6 @@ def _segment_partials(dx: np.ndarray, vl: np.ndarray, vr: np.ndarray, s: float,
     return seg, d_l, d_r, d_ll, d_lr, d_rr
 
 
-def _segment_integrals(transform: Transform, knots: np.ndarray,
-                       values: np.ndarray) -> np.ndarray:
-    """Integral of h(phi) over each linear segment of phi (quadrature for general h)."""
-    dx = np.diff(knots)
-    vl, vr = values[:-1], values[1:]
-    if transform.kind == KIND_LOG:
-        c = transform.exp_scale
-        return _segment_partials(dx, c * vl, c * vr, 0)[0]
-    if transform.kind == KIND_POWER:
-        return _segment_partials(dx, vl, vr, transform.s)[0]
-    out = np.empty_like(dx)
-    for i in range(dx.size):
-        f = lambda x: transform.eval(float(values[i] + (values[i + 1] - values[i])
-                                           * (x - knots[i]) / dx[i]))
-        out[i], _ = _sintegrate.quad(f, knots[i], knots[i + 1], epsabs=1e-12, limit=200)
-    return out
-
-
 @dataclass(frozen=True)
 class TransformedDensity:
     """Density p = h(phi) for a concave piecewise-linear phi.
@@ -209,10 +189,10 @@ class TransformedDensity:
         if vmin <= t.y0_tilde:
             raise DomainError(
                 f"phi reaches {vmin}, at or below the transform zero point {t.y0_tilde}")
-        if phi.knots.size == 1:
-            total = 0.0
-        else:
-            total = float(np.sum(_segment_integrals(t, phi.knots, phi.values)))
+        # exp(c phi) is the s = 0 kernel applied to c phi
+        c, s = (t.exp_scale, 0) if t.kind == KIND_LOG else (1.0, t.s)
+        v = phi.values
+        total = float(np.sum(_segment_partials(np.diff(phi.knots), c * v[:-1], c * v[1:], s)[0]))
         if not (math.isfinite(total) and total > 0):
             raise DomainError(f"integral of h(phi) is {total}; need finite and positive")
         object.__setattr__(self, "integral", total)
@@ -253,15 +233,13 @@ class TransformedDensity:
         t = self.transform
         if t.kind == KIND_LOG:
             new_vals = self.phi.values - math.log(z) / t.exp_scale
-        elif t.kind == KIND_POWER:
-            new_vals = self.phi.values * z ** (-t.s)
         else:
-            raise UnsupportedTransformError("normalize supports power and log kinds")
+            new_vals = self.phi.values * z ** (-t.s)
         return TransformedDensity(t, PiecewiseConcave(self.phi.knots, new_vals))
 
     def to_dict(self) -> dict:
         t = self.transform
-        kind = {"power": "PowerS", "log": "LogConcave", "general": "General"}[t.kind]
+        kind = {"power": "PowerS", "log": "LogConcave"}[t.kind]
         return {"transform": {"kind": kind, "s": t.s if t.kind == KIND_POWER else 0.0},
                 "knots": self.phi.knots.tolist(),
                 "values": self.phi.values.tolist()}
@@ -392,7 +370,7 @@ class EnvelopeFn:
     """Upper envelope for the M-sandwich class of a transform.
 
     Constant M inside |x| < cutoff; beyond the cutoff the power family uses
-    the exact form (M^s + L|x|/(2M))^(1/s) and general transforms use
+    the exact form (M^s + L|x|/(2M))^(1/s) and the log kind uses
     D (1 + L|x|/(2M))^(-alpha).
     """
 
@@ -432,7 +410,7 @@ def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
     """Envelope of the M-sandwich class for transform t.
 
     ``L`` is the inverse-transform gap between density levels 1/M and 1/(2M).
-    For non-power transforms the tail constant D comes from probing
+    For the log kind the tail constant D comes from probing
     ``h`` (normalized so that h^{-1}(M) = -1) against ``(-y)^(-alpha)`` on
     a geometric grid down to -2^20.
     """
@@ -454,9 +432,7 @@ def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
         ys = -np.power(2.0, np.linspace(0.0, 20.0, 257))
         hv = np.asarray([t.eval(float(y + shift)) for y in ys])
         ratio = hv * np.power(-ys, alpha)
-        ok = np.isfinite(ratio)
-        if not np.any(ok):
-            raise UnsupportedTransformError("tail probe found no finite h values")
+        ok = np.isfinite(ratio)  # ratio[0] = M; far points can overflow at large alpha
         D = float(np.max(ratio[ok])) * 1.01
     env = EnvelopeFn(M=M, transform=t, L=L, D=D, alpha=alpha, cutoff=cutoff)
     seam_ratio = M / max(env(cutoff), 1e-300)

@@ -39,7 +39,7 @@ from scipy.special import gammaln, logsumexp
 from .concave_fn import PiecewiseConcave, sample_random
 from .density import (EnvelopeFn, TransformedDensity, _piecewise_gl, envelope_for_class,
                       member_of_class)
-from .transforms import Transform, UnsupportedTransformError
+from .transforms import Transform
 
 EPS0 = 0.25      # validity threshold of the level-wise transformed cover
 EPS_STAR = 0.25  # per-interval threshold in the tail-class partition
@@ -537,9 +537,6 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
         raise ThresholdError(
             f"eps = {eps} exceeds the validity threshold eps* x B (b2-b1)^(1/r) = "
             f"{EPS_STAR * scale}")
-    if t.y0_tilde == -math.inf:
-        if not t.alpha > 0:
-            raise UnsupportedTransformError("transform needs a positive tail exponent")
     hn = _NormalizedTransform(t, B)
     alpha = hn.alpha
     descriptor = TransformedCompactClass(t, b1, b2, B)
@@ -823,14 +820,18 @@ def _covers(bracket: Bracket, member) -> bool:
 
 def verify_bracketing(bset: BracketSet, members: Sequence[object]) -> VerificationReport:
     """Exact check that every member sits inside its assigned bracket
-    (``_covers``), with the L_r bracket sizes of ``Bracket.size_lr``."""
+    (``_covers``), with the L_r bracket sizes of ``Bracket.size_lr``.  Members
+    of a class with a transform must carry it: a bare phi reads as phi-space."""
     if len(members) == 0:
         return VerificationReport(1.0, 0.0, None, 0, vacuous=True)
+    density_space = getattr(bset.class_descriptor, "transform", None) is not None
     covered = 0
     max_size = 0.0
     worst = None
     r = bset.r if math.isfinite(bset.r) else 1.0
     for idx, member in enumerate(members):
+        if density_space and getattr(member, "transform", None) is None:
+            raise TypeError(f"member {idx} is a bare phi, but the class has a transform")
         bracket = bset.locate(member)
         covered += _covers(bracket, member)
         size = bracket.size_lr(r)

@@ -5,13 +5,16 @@ cone under positive scaling, so maximizing
 
     L(phi) = mean_i log h(phi(X_i)) - integral h(phi)
 
-over concave piecewise-linear phi with knots at the data points yields a
-maximizer whose integral is automatically 1.  The solver is an active-set
+over concave piecewise-linear phi with knots at the data points: at a
+maximizer the integral is automatically 1.  The solver is an active-set
 method in kink space: phi is linear between its kinks, so on a fixed kink set
 the objective, its gradient and its exact tridiagonal Hessian depend on the
 kink values only.  Damped Newton steps solve each reduced problem; kinks enter
 through an exact tangent-cone (hinge) certificate and leave when they flatten.
 Segment integrals come from the closed-form kernel of ``sconcave.density``.
+L is concave only for 0 <= s <= 1 (log|v| / s is convex for s < 0, the
+integral of h concave for s > 1); elsewhere the certificate proves only
+first-order stationarity, not a maximum.
 
 For s < -1 no maximizer exists; ``demonstrate_nonexistence`` evaluates the
 diverging one-parameter likelihood path that witnesses it.
@@ -222,7 +225,8 @@ def _kkt_certificate(prob: _Problem, grad: np.ndarray, kinks: np.ndarray) -> flo
     decided by kink membership: +hinge_j enters only at the interior kinks
     of the current set, never at a knot whose interpolated value rounds to a
     slope drop.  Returns the largest normalized directional derivative over
-    the generators, or 0 when none ascends.
+    the generators, or 0 when none ascends.  Zero proves a maximum only for
+    0 <= s <= 1, where the objective is concave; otherwise only stationarity.
     """
     x = prob.knots
     best = 0.0
@@ -485,8 +489,9 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
 
     The fit returns the best iterate certified at ``grad_tol``, else the last.
     ``converged`` means the returned iterate meets the certificate at
-    ``grad_tol`` and integrates to 1 within ``integral_tol``.  The loop spends
-    at most ``max_iterations`` objective evaluations.
+    ``grad_tol`` and integrates to 1 within ``integral_tol``: the MLE for
+    0 <= s <= 1, a stationary point that need not be the maximizer otherwise.
+    The loop spends at most ``max_iterations`` objective evaluations.
 
     Raises
     ------

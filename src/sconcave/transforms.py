@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ SLOPE_FIT_MARGIN = 0.05
 
 KIND_POWER = "power"
 KIND_LOG = "log"
-KIND_GENERAL = "general"
 
 
 class TransformDomainError(ValueError):
@@ -46,7 +45,7 @@ class Transform:
     Attributes
     ----------
     kind : str
-        One of ``"power"``, ``"log"``, ``"general"``.
+        ``"power"`` (h_s with s != 0) or ``"log"`` (exp, the s = 0 member).
     s : float or None
         Power-family index (``kind == "power"`` only).
     exp_scale : float
@@ -70,17 +69,12 @@ class Transform:
     yinf_tilde: float = math.inf
     alpha: float = 2.0
     beta: Optional[float] = None
-    eval_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    inverse_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    deriv_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in (KIND_POWER, KIND_LOG, KIND_GENERAL):
+        if self.kind not in (KIND_POWER, KIND_LOG):
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if self.kind == KIND_POWER and (self.s is None or self.s == 0.0):
             raise ValueError("power transform requires a nonzero index s")
-        if self.kind == KIND_GENERAL and (self.eval_fn is None or self.inverse_fn is None):
-            raise ValueError("general transform requires eval and inverse callbacks")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
@@ -114,16 +108,6 @@ class Transform:
             alpha=alpha, beta=None,
         )
 
-    @staticmethod
-    def general(eval_fn, inverse_fn, *, y0_tilde, yinf_tilde, alpha,
-                beta=None, deriv_fn=None) -> "Transform":
-        """Transform from user callbacks; derivative defaults to central differences."""
-        return Transform(
-            kind=KIND_GENERAL, eval_fn=eval_fn, inverse_fn=inverse_fn,
-            deriv_fn=deriv_fn, y0_tilde=y0_tilde, yinf_tilde=yinf_tilde,
-            alpha=alpha, beta=beta,
-        )
-
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, y):
@@ -150,14 +134,10 @@ class Transform:
             # overflow to inf / underflow to 0 is the extended-real semantics
             if self.kind == KIND_LOG:
                 out[mid] = np.exp(self.exp_scale * ym)
-            elif self.kind == KIND_POWER:
-                s = self.s
-                if s < 0:
-                    out[mid] = np.power(-ym, 1.0 / s)
-                else:
-                    out[mid] = np.power(ym, 1.0 / s)
+            elif self.s < 0:
+                out[mid] = np.power(-ym, 1.0 / self.s)
             else:
-                out[mid] = [self.eval_fn(v) for v in ym]
+                out[mid] = np.power(ym, 1.0 / self.s)
         return out
 
     def inverse(self, u):
@@ -174,11 +154,9 @@ class Transform:
             raise TransformDomainError("inverse requires u in the open range (0, inf)")
         if self.kind == KIND_LOG:
             out = np.log(ua) / self.exp_scale
-        elif self.kind == KIND_POWER:
+        else:
             s = self.s
             out = -np.power(ua, s) if s < 0 else np.power(ua, s)
-        else:
-            out = np.asarray([self.inverse_fn(v) for v in ua], dtype=float)
         return float(out[0]) if scalar else out
 
     def derivative(self, y: float) -> float:
@@ -188,19 +166,11 @@ class Transform:
                 f"derivative needs y in ({self.y0_tilde}, {self.yinf_tilde}), got {y}")
         if self.kind == KIND_LOG:
             return self.exp_scale * math.exp(self.exp_scale * y)
-        if self.kind == KIND_POWER:
-            s = self.s
-            q = 1.0 / s
-            if s < 0:
-                return -q * (-y) ** (q - 1.0)
-            return q * y ** (q - 1.0)
-        if self.deriv_fn is not None:
-            return self.deriv_fn(y)
-        # central difference with a step scaled to |y|
-        step = 1e-6 * max(1.0, abs(y))
-        lo = max(y - step, self.y0_tilde + 0.25 * step)
-        hi = min(y + step, self.yinf_tilde - 0.25 * step)
-        return (self.eval(hi) - self.eval(lo)) / (hi - lo)
+        s = self.s
+        q = 1.0 / s
+        if s < 0:
+            return -q * (-y) ** (q - 1.0)
+        return q * y ** (q - 1.0)
 
     def sqrt(self) -> "Transform":
         """The transform g with g(y)^2 = h(y) pointwise.
@@ -217,16 +187,8 @@ class Transform:
                 alpha=self.alpha / 2.0,
                 beta=None if self.beta is None else self.beta / 2.0,
             )
-        if self.kind == KIND_LOG:
-            return Transform.log_concave(exp_scale=self.exp_scale / 2.0,
-                                         alpha=self.alpha / 2.0)
-        raise UnsupportedTransformError(
-            "sqrt of a general transform requires caller-supplied callbacks")
-
-
-def sqrt_transform(t: Transform) -> Transform:
-    """Functional alias for :meth:`Transform.sqrt`."""
-    return t.sqrt()
+        return Transform.log_concave(exp_scale=self.exp_scale / 2.0,
+                                     alpha=self.alpha / 2.0)
 
 
 # ----------------------------------------------------------------------

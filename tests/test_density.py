@@ -9,14 +9,14 @@ import pytest
 from scipy import integrate as sintegrate
 
 from sconcave.concave_fn import DomainError, PiecewiseConcave, sample_random
-from sconcave.density import (TransformedDensity, _segment_partials, check_envelope,
-                              envelope_for_class, hellinger, l1_distance, member_of_class,
-                              reference, sample, upper_bound_f)
+from sconcave.density import (NORMALIZED_TOL, TransformedDensity, _segment_partials,
+                              check_envelope, envelope_for_class, hellinger, l1_distance,
+                              member_of_class, reference, sample, upper_bound_f)
 from sconcave.transforms import Transform
 
 
 def make_density(s, knots, values):
-    t = Transform.log_concave() if s == 0 else Transform.power(s)
+    t = Transform.power(s)
     return TransformedDensity(t, PiecewiseConcave(np.asarray(knots, float),
                                                   np.asarray(values, float)))
 
@@ -43,6 +43,15 @@ class TestIntegrate:
     def test_exponential_slope(self):
         d = make_density(0.0, [0, 1], [0, -1])
         assert d.integral == pytest.approx(1 - math.exp(-1), rel=1e-12)
+
+    def test_log_transform_exp_scale(self):
+        # sqrt of exp is exp(phi/2): the kernel runs on the scaled values phi/2
+        t = Transform.log_concave().sqrt()
+        d = TransformedDensity(t, PiecewiseConcave([-1.0, 0.0, 2.0], [-1.0, 0.5, -3.0]))
+        exact = ((math.exp(0.25) - math.exp(-0.5)) / 0.75
+                 + 2.0 * (math.exp(-1.5) - math.exp(0.25)) / -1.75)
+        assert d.integral == pytest.approx(exact, rel=1e-14)
+        assert abs(d.normalize().integral - 1.0) <= NORMALIZED_TOL
 
     def test_logarithmic_branch(self):
         # 1/s + 1 = 0 at s = -1: the antiderivative is logarithmic
@@ -245,7 +254,7 @@ class TestEnvelope:
         assert member_of_class(d, 10.0)  # edge value ~0.108 needs 1/M below it
         assert check_envelope(d, 10.0, np.linspace(-5, 5, 1001))
 
-    def test_general_transform_envelope(self):
+    def test_log_transform_envelope(self):
         env = envelope_for_class(1.0, Transform.log_concave())
         assert env.L == pytest.approx(math.log(2.0), abs=1e-12)
         xs = np.linspace(3.0, 40.0, 100)
@@ -335,7 +344,7 @@ class TestEnvelopeDomination:
     @pytest.mark.parametrize("M", [1.0, 5.0])
     def test_random_members(self, s, M):
         from sconcave.entropy import sample_density_class_members
-        t = Transform.power(s) if s != 0 else Transform.log_concave()
+        t = Transform.power(s)
         # the sandwich class is empty below M = 2 (mass constraint); the
         # envelope statement is then vacuous and only the construction runs
         members = sample_density_class_members(t, M, 200 if M >= 2 else 0, 11)

@@ -183,14 +183,9 @@ class TestTailClassCover:
         assert 0.4 <= curve.exponent <= 0.7
 
     def test_hypothesis_error(self):
-        # alpha = 1 fails against 1/r at r = 0.9... use r large enough that
-        # alpha <= 1/r triggers: alpha = 0.4 < 1/2 at r = 2
-        t = Transform.general(
-            lambda y: (-y) ** -0.4 if y < 0 else math.inf,
-            lambda u: -(u ** -2.5),
-            y0_tilde=-math.inf, yinf_tilde=0.0, alpha=0.4)
-        with pytest.raises(HypothesisError):
-            cover_tail_class(t, 2.0, 0.1, 2.0)
+        # s = -2.5 has tail exponent alpha = -1/s = 0.4, below 1/r = 1/2 at r = 2
+        with pytest.raises(HypothesisError, match="alpha = 0.4"):
+            cover_tail_class(Transform.power(-2.5), 2.0, 0.1, 2.0)
 
     def test_constant_grows_toward_the_boundary(self):
         # the reported count blows up as the tail exponent drops toward 1/r
@@ -270,6 +265,15 @@ class TestVerifyBracketing:
                            BracketPiece(0.0, 1.0, lower, ("const", 10.0)))
         member = SimpleNamespace(transform=t, phi=PiecewiseConcave([0.0, 1.0], [-1.0, 1.0]))
         assert verify_bracketing(bset, [member]).covered_fraction == 0.0
+
+    def test_bare_phi_in_a_density_class(self):
+        # a bare phi would be read in phi-space against density-space brackets
+        desc = TransformedCompactClass(Transform.power(-1.0), 0, 1, 2)
+        members = sample_members(desc, 20, 21)
+        bset = build_cover(desc, 0.1, 1.0)
+        assert verify_bracketing(bset, members).covered_fraction == 1.0
+        with pytest.raises(TypeError, match="member 3 "):
+            verify_bracketing(bset, members[:3] + [members[3].phi] + members[4:])
 
     def test_reports_worst_member(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 1.0)

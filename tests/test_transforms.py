@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sconcave.transforms import (Transform, TransformDomainError, check_assumptions,
-                                 check_s_concavity, generalized_mean, nesting_check,
-                                 sqrt_transform)
+                                 check_s_concavity, generalized_mean, nesting_check)
 
 
 def finite_difference(f, y, h=1e-7):
@@ -95,7 +94,7 @@ class TestDerivative:
 
 class TestSqrt:
     def test_power_index_doubles(self):
-        g = sqrt_transform(Transform.power(-0.5))
+        g = Transform.power(-0.5).sqrt()
         assert g.s == -1.0
         assert g.alpha == pytest.approx(1.0)
         g2 = Transform.power(-1.0 / 3.0).sqrt()
