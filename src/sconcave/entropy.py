@@ -5,7 +5,7 @@ Four nested constructions:
 1. Lipschitz bounded concave functions, sup-norm brackets: quantized tangent
    envelopes with adaptively chosen contact points (run x slope-drop budget).
 2. Bounded concave functions without a Lipschitz bound, L_r brackets: split
-   the domain at mu / 1formula-mu, cover the edge rings with constant and
+   the domain at mu and 1 - mu, cover the edge rings with constant and
    Lipschitz brackets at geometrically graded resolutions, and the middle
    with a single Lipschitz cover.
 3. Transformed classes h(phi) on a compact interval: discretize the range of

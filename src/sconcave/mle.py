@@ -79,6 +79,7 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "kkt_residual": self.kkt_residual,
+            "objective": self.objective,
         }
 
 
@@ -368,6 +369,32 @@ class _ActiveSet:
         return float(np.min(t))
 
 
+def _drop_flat_kink(active: _ActiveSet, u: np.ndarray, k: int, state: tuple
+                    ) -> Tuple[_ActiveSet, np.ndarray, tuple]:
+    """Drop interior kink k, which lies on the line between its neighbours.
+
+    With mu = (x_k - x_{k-1}) / (x_{k+1} - x_{k-1}) the kink value is
+    u_k = (1 - mu) u_{k-1} + mu u_{k+1}, so phi is unchanged and the reduced
+    objective is the current one composed with that linear map.  The value
+    carries over; the gradient and the tridiagonal Hessian (diag, off) follow
+    by the chain rule in O(m).
+    """
+    val, grad, diag, off = state
+    xk = active.xk
+    mu = (xk[k] - xk[k - 1]) / (xk[k + 1] - xk[k - 1])
+    nu = 1.0 - mu
+    g = np.delete(grad, k)
+    g[k - 1] += nu * grad[k]
+    g[k] += mu * grad[k]
+    d = np.delete(diag, k)
+    d[k - 1] += 2.0 * nu * off[k - 1] + nu * nu * diag[k]
+    d[k] += 2.0 * mu * off[k] + mu * mu * diag[k]
+    e = np.delete(off, k)  # e[k - 1] now couples kinks k - 1 and k + 1
+    e[k - 1] = mu * off[k - 1] + nu * off[k] + mu * nu * diag[k]
+    reduced = _ActiveSet(active.prob, np.delete(active.kinks, k))
+    return reduced, np.delete(u, k), (val, g, d, e)
+
+
 def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                     inner_tol: float, budget: int) -> Tuple[_ActiveSet, np.ndarray, int]:
     """Maximize the objective over the current kink set in at most ``budget`` evaluations.
@@ -376,9 +403,13 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
     factored in O(m).  Kinks whose concavity constraint blocks a step at zero
     length lie on a segment, so removing them does not change the function;
     the solver drops them in place and re-solves until the kink-space
-    gradient meets the inner tolerance or no step improves.  Once a step's
-    predicted gain is below the resolution of the objective, the step counts
-    as improving when it shrinks the gradient.
+    gradient meets the inner tolerance or no step improves.  A drop carries
+    the evaluation over by the chain rule (``_drop_flat_kink``) when the kink
+    is flat: at a zero-length block, or when the accepted step is exactly the
+    one that flattens it.  A step cut short at t = 1 leaves the kink bent, so
+    that drop is evaluated afresh.  Once a step's predicted gain is below the
+    resolution of the objective, the step counts as improving when it shrinks
+    the gradient.
     """
     from scipy.linalg import LinAlgError, solveh_banded
 
@@ -418,9 +449,9 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
             t_max, tight = active.max_step(u, direction)
             if t_max <= 1e-12 and tight is not None:
                 # lossless removal: the blocking kink is flat on a segment
-                active = _ActiveSet(prob, np.delete(active.kinks, tight))
-                u = np.delete(u, tight)
-                moved = stale = True
+                active, u, (val, grad, diag, off) = _drop_flat_kink(
+                    active, u, tight, (val, grad, diag, off))
+                moved = True
                 break
             t = min(1.0, t_max)
             noise = 1e-14 * max(1.0, abs(val)) / float(np.dot(grad, direction))
@@ -441,10 +472,11 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                 t *= 0.5
             if moved:
                 if tight is not None and t >= 0.999 * t_max and active.kinks.size > 2:
-                    # the step flattened this kink exactly: remove it
-                    active = _ActiveSet(prob, np.delete(active.kinks, tight))
-                    u = np.delete(u, tight)
-                    stale = True
+                    # the step flattened this kink: remove it; unless the step
+                    # reached it exactly the kink still bends, so re-evaluate
+                    active, u, (val, grad, diag, off) = _drop_flat_kink(
+                        active, u, tight, (val, grad, diag, off))
+                    stale = t != t_max
                 break
         if not moved:
             break

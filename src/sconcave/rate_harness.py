@@ -134,9 +134,12 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     """Replicated fits over the sample-size grid with per-metric slopes.
 
     Deterministic for a fixed config and seed; replications are independent
-    work items and may run in parallel (``cfg.jobs``).  Non-converged fits
-    are excluded from the tables, each with a record in ``exclusions``; more
-    than 5% of them flags the study.
+    work items and may run in parallel (``cfg.jobs``).  Fit cost grows with n,
+    so tasks run largest n first, replications ascending within each n, and
+    the pool hands them out one at a time: the longest fits start first and
+    the short ones fill in behind them.  Non-converged fits are excluded from
+    the tables, each with a record in ``exclusions``, ordered by (n,
+    replication); more than 5% of them flags the study.
     """
     dist = cfg.distribution
     grid = np.linspace(*(dist.support if math.isfinite(dist.support[0])
@@ -145,10 +148,10 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
         raise ValueError(
             f"{cfg.true_density} is not s-concave for s = {cfg.s}")
     tasks = [(cfg, i, j)
-             for i in range(len(cfg.n_grid)) for j in range(cfg.replications)]
+             for i in reversed(range(len(cfg.n_grid))) for j in range(cfg.replications)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_one_replication, tasks, chunksize=4))
+            results = list(pool.map(_one_replication, tasks, chunksize=1))
     else:
         results = [_one_replication(t) for t in tasks]
 
@@ -166,6 +169,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
             raw[m][i, j] = res[m]
         if sup_phat is not None:
             sup_phat[i, j] = res["sup_phat"]
+    exclusions.sort(key=lambda e: (e["n"], e["replication"]))
     excluded = len(exclusions)
     flagged = excluded > 0.05 * len(tasks)
 

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from sconcave.cli import main
+from sconcave.mle import FitConfig, fit
 
 
 @pytest.fixture()
@@ -80,6 +81,8 @@ class TestFit:
         assert r2.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["converged"] is True
+        res = fit(np.loadtxt(data), FitConfig(s=0.0))
+        assert doc["objective"] == res.objective
 
 
 class TestNonexistenceDemo:

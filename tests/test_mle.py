@@ -304,6 +304,27 @@ class TestKinkSpaceKernel:
             scale = np.max(np.abs(H))
             np.testing.assert_allclose(fd, H, rtol=0, atol=1e-7 * scale)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5, 0.5])
+    def test_flat_kink_drop_carries_the_evaluation(self, s):
+        # a kink on its neighbours' line: the chain-rule state is the fresh one
+        from sconcave.mle import _ActiveSet, _drop_flat_kink
+        for seed in range(5):
+            _, active, u, _ = _kink_setup(s, seed)
+            for k in range(1, u.size - 1):
+                xk = active.xk
+                mu = (xk[k] - xk[k - 1]) / (xk[k + 1] - xk[k - 1])
+                u_flat = u.copy()
+                u_flat[k] = (1.0 - mu) * u[k - 1] + mu * u[k + 1]
+                reduced, u_red, carried = _drop_flat_kink(
+                    active, u_flat, k, active.value_grad_hess(u_flat))
+                kinks = np.delete(active.kinks, k)
+                np.testing.assert_array_equal(reduced.kinks, kinks)
+                np.testing.assert_array_equal(u_red, np.delete(u_flat, k))
+                fresh = _ActiveSet(active.prob, kinks).value_grad_hess(u_red)
+                assert carried[0] == pytest.approx(fresh[0], rel=1e-12, abs=0)
+                for got, want in zip(carried[1:], fresh[1:]):
+                    np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+
     def test_segment_ends_are_exact(self):
         # kinks sit on segment boundaries with lam = 0; the last knot has lam = 1
         _, active, u, _ = _kink_setup(0.0)

@@ -105,10 +105,13 @@ class TestStudyMechanics:
     def test_excluded_replication_leaves_row_quartiles(self, monkeypatch):
         from sconcave import rate_harness
         calls = []
+        failed = []
 
         def failing_first(data, cfg):
+            # tasks run largest n first: fail the first fit at n = 100
             calls.append(cfg.grad_tol)
-            if len(calls) == 1:
+            if data.size == 100 and not failed:
+                failed.append(data.size)
                 raise RuntimeError("solver failure")
             return fit(data, cfg)
 
@@ -126,6 +129,40 @@ class TestStudyMechanics:
         assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
         want = np.percentile(row[1:], [25, 50, 75])
         assert res.quantiles["hellinger"][100] == tuple(float(q) for q in want)
+
+    def test_exclusions_ordered_by_n_then_replication(self, monkeypatch):
+        from sconcave import rate_harness
+
+        sizes = []
+
+        def failing_small(data, cfg):
+            # fail replications 0 and 1 below n = 400; they run n = 200 first
+            sizes.append(data.size)
+            if data.size < 400 and sizes.count(data.size) <= 2:
+                raise RuntimeError(f"failure at {data.size}")
+            return fit(data, cfg)
+
+        monkeypatch.setattr(rate_harness, "fit", failing_small)
+        cfg = RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100, 200, 400),
+                              replications=3, seed=5, metrics=("hellinger",))
+        res = run_rate_study(cfg)
+        assert sizes == [400] * 3 + [200] * 3 + [100] * 3
+        assert [(e["n"], e["replication"]) for e in res.exclusions] == [
+            (100, 0), (100, 1), (200, 0), (200, 1)]
+        assert np.all(np.isfinite(res.raw["hellinger"][:, 2]))
+
+    def test_pool_matches_single_process(self):
+        # the pool takes tasks largest n first, one at a time; the tables
+        # are filled by task index, so both paths give the same study
+        base = dict(true_density="pareto", s=-0.5, n_grid=(100, 200, 400, 800),
+                    replications=3, seed=11, metrics=("hellinger",))
+        one = run_rate_study(RateStudyConfig(**base, jobs=1))
+        two = run_rate_study(RateStudyConfig(**base, jobs=2))
+        np.testing.assert_array_equal(one.raw["hellinger"], two.raw["hellinger"])
+        assert one.quantiles == two.quantiles
+        assert one.slopes == two.slopes
+        assert one.exclusions == two.exclusions
+        assert one.excluded == two.excluded == 0
 
     def test_seed_derivation_distinct(self):
         seeds = {derived_seed(42, i, j) for i in range(5) for j in range(20)}
