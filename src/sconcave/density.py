@@ -19,8 +19,7 @@ import numpy as np
 from scipy import special as _sspecial
 
 from .concave_fn import DomainError, PiecewiseConcave
-from .transforms import (KIND_LOG, KIND_POWER, Transform,
-                         UnsupportedTransformError)
+from .transforms import Transform, UnsupportedTransformError
 
 NORMALIZED_TOL = 1e-8
 ENVELOPE_SLACK = 1e-9
@@ -189,10 +188,8 @@ class TransformedDensity:
         if vmin <= t.y0_tilde:
             raise DomainError(
                 f"phi reaches {vmin}, at or below the transform zero point {t.y0_tilde}")
-        # exp(c phi) is the s = 0 kernel applied to c phi
-        c, s = (t.exp_scale, 0) if t.kind == KIND_LOG else (1.0, t.s)
         v = phi.values
-        total = float(np.sum(_segment_partials(np.diff(phi.knots), c * v[:-1], c * v[1:], s)[0]))
+        total = float(np.sum(_segment_partials(np.diff(phi.knots), v[:-1], v[1:], t.s)[0]))
         if not (math.isfinite(total) and total > 0):
             raise DomainError(f"integral of h(phi) is {total}; need finite and positive")
         object.__setattr__(self, "integral", total)
@@ -224,23 +221,22 @@ class TransformedDensity:
     def normalize(self) -> "TransformedDensity":
         """Rescale onto the unit-integral slice of the density cone.
 
-        The exponential kind shifts phi by -log(Z); power kinds scale phi by
-        Z^(-s), which preserves concavity and the support.
+        At s = 0 phi shifts by -log(Z); otherwise phi scales by Z^(-s),
+        which preserves concavity and the support.
         """
         if self.is_normalized:
             return self
         z = self.integral
         t = self.transform
-        if t.kind == KIND_LOG:
-            new_vals = self.phi.values - math.log(z) / t.exp_scale
+        if t.s == 0:
+            new_vals = self.phi.values - math.log(z)
         else:
             new_vals = self.phi.values * z ** (-t.s)
         return TransformedDensity(t, PiecewiseConcave(self.phi.knots, new_vals))
 
     def to_dict(self) -> dict:
         t = self.transform
-        kind = {"power": "PowerS", "log": "LogConcave"}[t.kind]
-        return {"transform": {"kind": kind, "s": t.s if t.kind == KIND_POWER else 0.0},
+        return {"transform": {"kind": "LogConcave" if t.s == 0 else "PowerS", "s": t.s},
                 "knots": self.phi.knots.tolist(),
                 "values": self.phi.values.tolist()}
 
@@ -369,16 +365,15 @@ def member_of_class(p: TransformedDensity, M: float) -> bool:
 class EnvelopeFn:
     """Upper envelope for the M-sandwich class of a transform.
 
-    Constant M inside |x| < cutoff; beyond the cutoff the power family uses
-    the exact form (M^s + L|x|/(2M))^(1/s) and the log kind uses
-    D (1 + L|x|/(2M))^(-alpha).
+    Constant M inside |x| < cutoff; beyond the cutoff s < 0 uses the exact
+    form (M^s + L|x|/(2M))^(1/s) and s = 0 uses D (1 + L|x|/(2M))^(-alpha),
+    with alpha the transform's declared tail exponent.
     """
 
     M: float
     transform: Transform
     L: float
     D: float
-    alpha: float
     cutoff: float
 
     def __call__(self, x):
@@ -388,11 +383,11 @@ class EnvelopeFn:
         tail = xa >= self.cutoff
         if np.any(tail):
             t = self.transform
-            if t.kind == KIND_POWER and t.s < 0:
+            if t.s < 0:
                 s = t.s
                 out[tail] = (self.M ** s + self.L * xa[tail] / (2.0 * self.M)) ** (1.0 / s)
             else:
-                out[tail] = self.D * (1.0 + self.L * xa[tail] / (2.0 * self.M)) ** (-self.alpha)
+                out[tail] = self.D * (1.0 + self.L * xa[tail] / (2.0 * self.M)) ** (-t.alpha)
         return float(out[0]) if scalar else out
 
     def tail_params(self) -> Tuple[float, float, float]:
@@ -401,16 +396,16 @@ class EnvelopeFn:
         The exact power-family form is re-expressed in this canonical shape.
         """
         t = self.transform
-        if t.kind == KIND_POWER and t.s < 0:
+        if t.s < 0:
             return self.M, self.L * self.M ** (-t.s), -1.0 / t.s
-        return self.D, self.L, self.alpha
+        return self.D, self.L, t.alpha
 
 
 def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
     """Envelope of the M-sandwich class for transform t.
 
     ``L`` is the inverse-transform gap between density levels 1/M and 1/(2M).
-    For the log kind the tail constant D comes from probing
+    For s = 0 the tail constant D comes from probing
     ``h`` (normalized so that h^{-1}(M) = -1) against ``(-y)^(-alpha)`` on
     a geometric grid down to -2^20.
     """
@@ -423,18 +418,17 @@ def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
     if not L > 0:
         raise UnsupportedTransformError("inverse transform gap L must be positive")
     cutoff = 2.0 * M + 1.0
-    alpha = t.alpha
-    if t.kind == KIND_POWER and t.s < 0:
+    if t.s < 0:
         D = 1.0
     else:
         # shift h so the normalized transform satisfies h_M^{-1}(M) = -1
         shift = 1.0 + t.inverse(M)
         ys = -np.power(2.0, np.linspace(0.0, 20.0, 257))
         hv = np.asarray([t.eval(float(y + shift)) for y in ys])
-        ratio = hv * np.power(-ys, alpha)
+        ratio = hv * np.power(-ys, t.alpha)
         ok = np.isfinite(ratio)  # ratio[0] = M; far points can overflow at large alpha
         D = float(np.max(ratio[ok])) * 1.01
-    env = EnvelopeFn(M=M, transform=t, L=L, D=D, alpha=alpha, cutoff=cutoff)
+    env = EnvelopeFn(M=M, transform=t, L=L, D=D, cutoff=cutoff)
     seam_ratio = M / max(env(cutoff), 1e-300)
     if seam_ratio > 20.0:
         warnings.warn(

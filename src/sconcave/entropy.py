@@ -452,7 +452,6 @@ class _NormalizedTransform:
         self.base = t
         self.B = B
         self.shift = 1.0 + t.inverse(B)
-        self.alpha = t.alpha
         if t.y0_tilde == -math.inf:
             self.y0 = -math.inf
         else:
@@ -538,7 +537,7 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
             f"eps = {eps} exceeds the validity threshold eps* x B (b2-b1)^(1/r) = "
             f"{EPS_STAR * scale}")
     hn = _NormalizedTransform(t, B)
-    alpha = hn.alpha
+    alpha = t.alpha
     descriptor = TransformedCompactClass(t, b1, b2, B)
 
     if t.y0_tilde == -math.inf:
@@ -989,7 +988,7 @@ def sample_density_class_members(t: Transform, M: float, count: int,
     if len(out) < count:
         raise RuntimeError(
             f"could only generate {len(out)}/{count} members of the "
-            f"M = {M} class for {t.kind}")
+            f"M = {M} class for s = {t.s}")
     return out
 
 

@@ -46,19 +46,12 @@ class FitConfig:
     s: float
     max_iterations: int = 2000
     grad_tol: float = 1e-7
-    # cone stationarity ties the integral gap to grad_tol * sqrt(n); the
-    # default leaves room for samples up to ~10^10 points
-    integral_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.s > -1.0:
-            raise ValueError("the MLE requires s > -1")
-        if self.grad_tol <= 0 or self.integral_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-    @property
-    def transform(self) -> Transform:
-        return Transform.power(self.s)
+        if not -1.0 < self.s < math.inf:
+            raise ValueError(f"the MLE requires -1 < s < inf, got s = {self.s}")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,25 +103,15 @@ class _Problem:
         self.weights = counts / counts.sum()
         self.dx = np.diff(knots)
         self.s = s
-        self.transform = Transform.power(s)
+        self.transform = t = Transform.power(s)
+        self.lo, self.hi = t.y0_tilde + VALUE_CAP, t.yinf_tilde - VALUE_CAP
 
     @property
     def n_knots(self) -> int:
         return self.knots.size
 
     def feasible(self, v: np.ndarray) -> bool:
-        if self.s == 0:
-            return bool(np.all(np.isfinite(v)))
-        if self.s < 0:
-            return bool(np.all(v <= -VALUE_CAP))
-        return bool(np.all(v >= VALUE_CAP))
-
-    def clip_range(self, v: np.ndarray) -> np.ndarray:
-        if self.s == 0:
-            return v
-        if self.s < 0:
-            return np.minimum(v, -VALUE_CAP)
-        return np.maximum(v, VALUE_CAP)
+        return bool(np.all(np.isfinite(v) & (self.lo <= v) & (v <= self.hi)))
 
     def value_and_grad(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
         """Objective mean-loglik-minus-integral and its gradient."""
@@ -250,14 +233,16 @@ def _kkt_certificate(prob: _Problem, grad: np.ndarray, kinks: np.ndarray) -> flo
 # refine to TARGET_TOL * grad_tol, solving each kink set to INNER_TOL * grad_tol.
 INNER_TOL = 1e-4
 TARGET_TOL = 1e-3
+# cone stationarity ties the integral gap to grad_tol * sqrt(n); the
+# bound leaves room for samples up to ~10^10 points
+INTEGRAL_TOL = 1e-5
 
 
 def _pilot_values(prob: _Problem) -> np.ndarray:
     """Feasible start: the flat function matching the uniform density on the range."""
     x = prob.knots
     level = prob.transform.inverse(1.0 / (x[-1] - x[0]))
-    v = np.full(x.size, level)
-    return prob.clip_range(v)
+    return np.clip(np.full(x.size, level), prob.lo, prob.hi)
 
 
 class _ActiveSet:
@@ -353,20 +338,13 @@ class _ActiveSet:
         return float(t_i[k]), int(rising[k]) + 1  # kink index inside self.kinks
 
     def _cap_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        s = self.prob.s
-        if s == 0:
-            return math.inf
-        if s < 0:
-            room = -VALUE_CAP - u
-            grow = du > 1e-300
-        else:
-            room = u - VALUE_CAP
-            grow = du < -1e-300
-        if not np.any(grow):
-            return math.inf
-        with np.errstate(divide="ignore"):
-            t = np.abs(room[grow]) / np.abs(du[grow])
-        return float(np.min(t))
+        """Largest t keeping u + t du inside the capped range [lo, hi] of h."""
+        t = math.inf
+        for bound, grow in ((self.prob.hi, du > 1e-300), (self.prob.lo, du < -1e-300)):
+            if math.isfinite(bound) and np.any(grow):
+                with np.errstate(divide="ignore"):
+                    t = min(t, float(np.min(np.abs(bound - u[grow]) / np.abs(du[grow]))))
+        return t
 
 
 def _drop_flat_kink(active: _ActiveSet, u: np.ndarray, k: int, state: tuple
@@ -521,7 +499,7 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
 
     The fit returns the best iterate certified at ``grad_tol``, else the last.
     ``converged`` means the returned iterate meets the certificate at
-    ``grad_tol`` and integrates to 1 within ``integral_tol``: the MLE for
+    ``grad_tol`` and integrates to 1 within ``INTEGRAL_TOL``: the MLE for
     0 <= s <= 1, a stationary point that need not be the maximizer otherwise.
     The loop spends at most ``max_iterations`` objective evaluations.
 
@@ -581,7 +559,7 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     integral_gap = abs(raw.integral - 1.0)
     density = raw.normalize()
     loglik = float(np.dot(prob.weights, np.log(density.pdf(prob.knots))))
-    if integral_gap > cfg.integral_tol:
+    if integral_gap > INTEGRAL_TOL:
         converged = False
     return FitResult(
         phi_hat=density.phi, density=density, loglik=loglik,

@@ -8,16 +8,16 @@ and turns a concave function ``phi`` into a nonnegative density candidate
     s < 0 :  h(y) = (-y)^(1/s) for y < 0   (heavy-tailed classes)
     s > 0 :  h(y) = y^(1/s)    for y > 0   (compactly supported classes)
 
-Each transform carries its limit points (where h hits 0 and infinity), a
-declared tail exponent ``alpha`` and, when the upper limit point is finite,
-a pole exponent ``beta``.
+A transform stores its index s alone.  Its limit points (where h hits 0 and
+infinity), its declared tail exponent ``alpha`` and, when the upper limit
+point is finite, its pole exponent ``beta`` are derived from s.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,9 +25,6 @@ import numpy as np
 # Module-wide tolerances: inequality scans and asymptotic slope fits.
 TOL_INEQUALITY = 1e-9
 SLOPE_FIT_MARGIN = 0.05
-
-KIND_POWER = "power"
-KIND_LOG = "log"
 
 
 class TransformDomainError(ValueError):
@@ -40,73 +37,47 @@ class UnsupportedTransformError(ValueError):
 
 @dataclass(frozen=True)
 class Transform:
-    """An increasing concave-function transformation.
+    """The power-family transform h_s, fixed by its index s.
 
     Attributes
     ----------
-    kind : str
-        ``"power"`` (h_s with s != 0) or ``"log"`` (exp, the s = 0 member).
-    s : float or None
-        Power-family index (``kind == "power"`` only).
-    exp_scale : float
-        Rate ``c`` in ``h(y) = exp(c*y)`` for the log kind (1.0 by default;
-        square roots halve it).
+    s : float
+        Power-family index, the one settable value (finite; -0.0 is stored
+        as 0.0, the exp member).
     y0_tilde, yinf_tilde : float
-        Limit points: ``h`` is 0 at or below ``y0_tilde`` and infinite at or
-        above ``yinf_tilde``.
+        Limit points, derived from s: ``h`` is 0 at or below ``y0_tilde`` and
+        infinite at or above ``yinf_tilde``.  They are (-inf, 0) for s < 0,
+        (0, inf) for s > 0 and (-inf, inf) for s = 0.
     alpha : float
-        Declared tail exponent: ``h(y) = o(|y|^-alpha)`` as ``y -> -inf``.
-        For the power family with s < 0 this is the exact exponent -1/s.
+        Declared tail exponent, derived from s: ``h(y) = o(|y|^-alpha)`` as
+        ``y -> -inf``.  The exact exponent -1/s for s < 0, else 2.
     beta : float or None
-        Pole exponent when ``yinf_tilde`` is finite: ``h(y)`` grows like
-        ``(yinf_tilde - y)^-beta``.
+        Pole exponent, derived from s: -1/s for s < 0, where ``h(y)`` grows
+        like ``(yinf_tilde - y)^-beta``; None when ``yinf_tilde`` is infinite.
     """
 
-    kind: str
-    s: Optional[float] = None
-    exp_scale: float = 1.0
-    y0_tilde: float = -math.inf
-    yinf_tilde: float = math.inf
-    alpha: float = 2.0
-    beta: Optional[float] = None
+    s: float
+    y0_tilde: float = field(init=False)
+    yinf_tilde: float = field(init=False)
+    alpha: float = field(init=False)
+    beta: Optional[float] = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in (KIND_POWER, KIND_LOG):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == KIND_POWER and (self.s is None or self.s == 0.0):
-            raise ValueError("power transform requires a nonzero index s")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-    # -- constructors ---------------------------------------------------
+        s = float(self.s)
+        if not math.isfinite(s):
+            raise ValueError(f"transform index s must be finite, got {s}")
+        # frozen: the derived attributes are set once, here
+        set_ = object.__setattr__
+        set_(self, "s", 0.0 if s == 0 else s)
+        set_(self, "y0_tilde", -math.inf if s <= 0 else 0.0)
+        set_(self, "yinf_tilde", 0.0 if s < 0 else math.inf)
+        set_(self, "alpha", -1.0 / s if s < 0 else 2.0)
+        set_(self, "beta", -1.0 / s if s < 0 else None)
 
     @staticmethod
     def power(s: float) -> "Transform":
         """Power-family transform h_s; s = 0 gives the log-concave transform exp."""
-        if s == 0.0:
-            return Transform.log_concave()
-        if s < 0:
-            return Transform(
-                kind=KIND_POWER, s=s,
-                y0_tilde=-math.inf, yinf_tilde=0.0,
-                alpha=-1.0 / s, beta=-1.0 / s,
-            )
-        return Transform(
-            kind=KIND_POWER, s=s,
-            y0_tilde=0.0, yinf_tilde=math.inf,
-            alpha=2.0, beta=None,
-        )
-
-    @staticmethod
-    def log_concave(exp_scale: float = 1.0, alpha: float = 2.0) -> "Transform":
-        """Exponential transform h(y) = exp(exp_scale * y)."""
-        if exp_scale <= 0:
-            raise ValueError("exp_scale must be positive")
-        return Transform(
-            kind=KIND_LOG, exp_scale=exp_scale,
-            y0_tilde=-math.inf, yinf_tilde=math.inf,
-            alpha=alpha, beta=None,
-        )
+        return Transform(s)
 
     # -- evaluation ------------------------------------------------------
 
@@ -132,8 +103,8 @@ class Transform:
         ym = y[mid]
         with np.errstate(over="ignore", under="ignore"):
             # overflow to inf / underflow to 0 is the extended-real semantics
-            if self.kind == KIND_LOG:
-                out[mid] = np.exp(self.exp_scale * ym)
+            if self.s == 0:
+                out[mid] = np.exp(ym)
             elif self.s < 0:
                 out[mid] = np.power(-ym, 1.0 / self.s)
             else:
@@ -152,10 +123,10 @@ class Transform:
         ua = np.asarray([u] if scalar else u, dtype=float)
         if np.any(ua <= 0) or np.any(~np.isfinite(ua)):
             raise TransformDomainError("inverse requires u in the open range (0, inf)")
-        if self.kind == KIND_LOG:
-            out = np.log(ua) / self.exp_scale
+        s = self.s
+        if s == 0:
+            out = np.log(ua)
         else:
-            s = self.s
             out = -np.power(ua, s) if s < 0 else np.power(ua, s)
         return float(out[0]) if scalar else out
 
@@ -164,31 +135,13 @@ class Transform:
         if not (self.y0_tilde < y < self.yinf_tilde):
             raise TransformDomainError(
                 f"derivative needs y in ({self.y0_tilde}, {self.yinf_tilde}), got {y}")
-        if self.kind == KIND_LOG:
-            return self.exp_scale * math.exp(self.exp_scale * y)
         s = self.s
+        if s == 0:
+            return math.exp(y)
         q = 1.0 / s
         if s < 0:
             return -q * (-y) ** (q - 1.0)
         return q * y ** (q - 1.0)
-
-    def sqrt(self) -> "Transform":
-        """The transform g with g(y)^2 = h(y) pointwise.
-
-        Power index doubles (2s), the exponential rate halves, and the
-        declared tail/pole exponents halve.
-        """
-        if self.kind == KIND_POWER:
-            g = Transform.power(2.0 * self.s)
-            # keep the halved bookkeeping exponents even for s > 0
-            return Transform(
-                kind=KIND_POWER, s=2.0 * self.s,
-                y0_tilde=g.y0_tilde, yinf_tilde=g.yinf_tilde,
-                alpha=self.alpha / 2.0,
-                beta=None if self.beta is None else self.beta / 2.0,
-            )
-        return Transform.log_concave(exp_scale=self.exp_scale / 2.0,
-                                     alpha=self.alpha / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +239,16 @@ def check_assumptions(t: Transform) -> AssumptionReport:
         checks.append(AssumptionCheck("T2", "vacuous", detail="y0_tilde = -inf"))
 
     # T3: h(y) ~ (yinf - y)^-beta near a finite yinf_tilde, with beta > 1.
-    if t.yinf_tilde < math.inf:
-        if t.beta is None:
-            checks.append(AssumptionCheck("T3", "fail", detail="no declared pole exponent beta"))
-        else:
-            deltas = np.power(2.0, -np.arange(1, 41, dtype=float))
-            hs = np.asarray([t.eval(t.yinf_tilde - float(d)) for d in deltas])
-            finite = np.isfinite(hs) & (hs > 0)
-            slope = _loglog_slope(deltas[finite][-10:], hs[finite][-10:])
-            ok = abs(slope + t.beta) <= SLOPE_FIT_MARGIN and t.beta > 1.0
-            checks.append(AssumptionCheck(
-                "T3", "pass" if ok else "fail", witness=-slope,
-                detail=f"pole exponent fit {-slope:.4g} vs declared beta {t.beta:.4g}"
-                       + ("" if t.beta > 1 else "; beta must exceed 1")))
+    if t.yinf_tilde < math.inf:  # s < 0, so beta = -1/s is declared
+        deltas = np.power(2.0, -np.arange(1, 41, dtype=float))
+        hs = np.asarray([t.eval(t.yinf_tilde - float(d)) for d in deltas])
+        finite = np.isfinite(hs) & (hs > 0)
+        slope = _loglog_slope(deltas[finite][-10:], hs[finite][-10:])
+        ok = abs(slope + t.beta) <= SLOPE_FIT_MARGIN and t.beta > 1.0
+        checks.append(AssumptionCheck(
+            "T3", "pass" if ok else "fail", witness=-slope,
+            detail=f"pole exponent fit {-slope:.4g} vs declared beta {t.beta:.4g}"
+                   + ("" if t.beta > 1 else "; beta must exceed 1")))
     else:
         checks.append(AssumptionCheck("T3", "vacuous", detail="yinf_tilde = +inf"))
 

@@ -83,6 +83,19 @@ class TestFit:
         assert doc["converged"] is True
         res = fit(np.loadtxt(data), FitConfig(s=0.0))
         assert doc["objective"] == res.objective
+        assert doc["density"]["transform"] == {"kind": "LogConcave", "s": 0.0}
+        r3 = runner.invoke(main, ["fit", str(data), "--s", "-0.5", "--out", str(out)])
+        assert r3.exit_code == 0
+        doc = json.loads(out.read_text())
+        assert doc["density"]["transform"] == {"kind": "PowerS", "s": -0.5}
+
+    def test_nonfinite_s(self, runner, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("1.0\n2.0\n3.0\n")
+        r = runner.invoke(main, ["fit", str(data), "--s", "inf"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output
+        assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
 
 
 class TestNonexistenceDemo:

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate as sintegrate
 
 from sconcave.concave_fn import DomainError, PiecewiseConcave, sample_random
-from sconcave.density import (NORMALIZED_TOL, TransformedDensity, _segment_partials,
+from sconcave.density import (TransformedDensity, _segment_partials,
                               check_envelope, envelope_for_class, hellinger, l1_distance,
                               member_of_class, reference, sample, upper_bound_f)
 from sconcave.transforms import Transform
@@ -43,15 +43,6 @@ class TestIntegrate:
     def test_exponential_slope(self):
         d = make_density(0.0, [0, 1], [0, -1])
         assert d.integral == pytest.approx(1 - math.exp(-1), rel=1e-12)
-
-    def test_log_transform_exp_scale(self):
-        # sqrt of exp is exp(phi/2): the kernel runs on the scaled values phi/2
-        t = Transform.log_concave().sqrt()
-        d = TransformedDensity(t, PiecewiseConcave([-1.0, 0.0, 2.0], [-1.0, 0.5, -3.0]))
-        exact = ((math.exp(0.25) - math.exp(-0.5)) / 0.75
-                 + 2.0 * (math.exp(-1.5) - math.exp(0.25)) / -1.75)
-        assert d.integral == pytest.approx(exact, rel=1e-14)
-        assert abs(d.normalize().integral - 1.0) <= NORMALIZED_TOL
 
     def test_logarithmic_branch(self):
         # 1/s + 1 = 0 at s = -1: the antiderivative is logarithmic
@@ -255,7 +246,7 @@ class TestEnvelope:
         assert check_envelope(d, 10.0, np.linspace(-5, 5, 1001))
 
     def test_log_transform_envelope(self):
-        env = envelope_for_class(1.0, Transform.log_concave())
+        env = envelope_for_class(1.0, Transform.power(0.0))
         assert env.L == pytest.approx(math.log(2.0), abs=1e-12)
         xs = np.linspace(3.0, 40.0, 100)
         # polynomial envelope dominates the exact exponential bound
@@ -272,7 +263,7 @@ class TestMemberOfClass:
 
     def test_gaussian_like(self):
         xs = np.linspace(-6, 6, 241)
-        d = TransformedDensity(Transform.log_concave(),
+        d = TransformedDensity(Transform.power(0.0),
                                PiecewiseConcave(xs, -0.5 * xs ** 2)).normalize()
         assert not member_of_class(d, 3.0)  # min on [-1,1] is ~0.242 < 1/3
         assert member_of_class(d, 5.0)

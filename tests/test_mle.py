@@ -104,8 +104,10 @@ class TestObjective:
         assert worst < 1e-5
 
     def test_range_violation(self):
-        with pytest.raises(ValueError):
-            objective([0.5, -1.0], [0.0, 1.0], -0.5)
+        for values, s in (([0.5, -1.0], -0.5), ([-math.inf, -1.0], -0.5),
+                          ([math.inf, 1.0], 0.5), ([math.inf, 1.0], 0.0)):
+            with pytest.raises(ValueError):
+                objective(values, [0.0, 1.0], s)
 
     def test_stored_kernel_values(self, monkeypatch):
         # the benchmark's nine fixed objective points and their committed values
@@ -228,6 +230,11 @@ class TestExistence:
     def test_config_rejects_s_at_minus_one(self):
         with pytest.raises(ValueError):
             FitConfig(s=-1.0)
+
+    def test_config_rejects_nonfinite_s(self):
+        for s in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FitConfig(s=s)
 
 
 class TestNonexistence:

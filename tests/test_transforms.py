@@ -15,9 +15,33 @@ def finite_difference(f, y, h=1e-7):
     return (f(y + h) - f(y - h)) / (2 * h)
 
 
+class TestConstruction:
+    # (s, y0_tilde, yinf_tilde, alpha, beta) as derived from s alone; the
+    # exp member (s = 0 or -0.0) stores s = 0.0
+    @pytest.mark.parametrize("s,expected", [
+        (-2.5, (-2.5, -math.inf, 0.0, 0.4, 0.4)),
+        (-1.0, (-1.0, -math.inf, 0.0, 1.0, 1.0)),
+        (-0.5, (-0.5, -math.inf, 0.0, 2.0, 2.0)),
+        (0.0, (0.0, -math.inf, math.inf, 2.0, None)),
+        (-0.0, (0.0, -math.inf, math.inf, 2.0, None)),
+        (0.25, (0.25, 0.0, math.inf, 2.0, None)),
+        (0.5, (0.5, 0.0, math.inf, 2.0, None)),
+        (2.0, (2.0, 0.0, math.inf, 2.0, None)),
+    ])
+    def test_derived_attributes(self, s, expected):
+        t = Transform.power(s)
+        assert (t.s, t.y0_tilde, t.yinf_tilde, t.alpha, t.beta) == expected
+        assert math.copysign(1.0, t.s) == math.copysign(1.0, expected[0])
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_s(self, s):
+        with pytest.raises(ValueError):
+            Transform.power(s)
+
+
 class TestEval:
     def test_log_concave_at_zero(self):
-        assert Transform.log_concave().eval(0.0) == 1.0
+        assert Transform.power(0.0).eval(0.0) == 1.0
 
     def test_negative_power(self):
         assert Transform.power(-0.5).eval(-2.0) == pytest.approx(0.25, rel=1e-14)
@@ -35,7 +59,7 @@ class TestEval:
         assert tp.eval(math.inf) == math.inf
 
     def test_total_on_extended_reals(self):
-        for t in (Transform.log_concave(), Transform.power(-0.5), Transform.power(2.0)):
+        for t in (Transform.power(0.0), Transform.power(-0.5), Transform.power(2.0)):
             for y in (-math.inf, -1e300, -1.0, 0.0, 1.0, 1e300, math.inf):
                 v = t.eval(y)
                 assert v >= 0.0  # no exception, nonnegative extended value
@@ -46,15 +70,15 @@ class TestInverse:
         t = Transform.power(-0.5)
         assert t.inverse(1.0) == pytest.approx(-1.0, rel=1e-14)
         assert t.inverse(0.25) == pytest.approx(-2.0, rel=1e-14)
-        assert Transform.log_concave().inverse(math.e) == pytest.approx(1.0, rel=1e-14)
+        assert Transform.power(0.0).inverse(math.e) == pytest.approx(1.0, rel=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(TransformDomainError):
             Transform.power(-0.5).inverse(0.0)
         with pytest.raises(TransformDomainError):
-            Transform.log_concave().inverse(-1.0)
+            Transform.power(0.0).inverse(-1.0)
 
-    @pytest.mark.parametrize("t", [Transform.log_concave(), Transform.power(-0.5),
+    @pytest.mark.parametrize("t", [Transform.power(0.0), Transform.power(-0.5),
                                    Transform.power(-0.25), Transform.power(1.5)])
     def test_round_trip_grid(self, t):
         lo = t.y0_tilde if math.isfinite(t.y0_tilde) else -20.0
@@ -73,12 +97,12 @@ class TestInverse:
 
 class TestDerivative:
     def test_values(self):
-        assert Transform.log_concave().derivative(0.0) == pytest.approx(1.0)
+        assert Transform.power(0.0).derivative(0.0) == pytest.approx(1.0)
         assert Transform.power(-1.0).derivative(-2.0) == pytest.approx(0.25)
         assert Transform.power(-0.5).derivative(-1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("t,y", [
-        (Transform.log_concave(), 0.7),
+        (Transform.power(0.0), 0.7),
         (Transform.power(-0.5), -1.3),
         (Transform.power(-0.25), -0.4),
         (Transform.power(2.0), 1.9),
@@ -92,26 +116,6 @@ class TestDerivative:
             Transform.power(-0.5).derivative(1.0)
 
 
-class TestSqrt:
-    def test_power_index_doubles(self):
-        g = Transform.power(-0.5).sqrt()
-        assert g.s == -1.0
-        assert g.alpha == pytest.approx(1.0)
-        g2 = Transform.power(-1.0 / 3.0).sqrt()
-        assert g2.s == pytest.approx(-2.0 / 3.0)
-
-    @pytest.mark.parametrize("t", [Transform.log_concave(), Transform.power(-0.5),
-                                   Transform.power(0.5)])
-    def test_square_identity_on_grid(self, t):
-        g = t.sqrt()
-        lo = t.y0_tilde if math.isfinite(t.y0_tilde) else -30.0
-        hi = t.yinf_tilde if math.isfinite(t.yinf_tilde) else 30.0
-        ys = np.linspace(lo + 1e-6, hi - 1e-6, 500)
-        hv = np.asarray([t.eval(float(y)) for y in ys])
-        gv = np.asarray([g.eval(float(y)) for y in ys])
-        np.testing.assert_allclose(gv ** 2, hv, rtol=1e-10)
-
-
 class TestAssumptions:
     def test_negative_half(self):
         rep = check_assumptions(Transform.power(-0.5))
@@ -120,7 +124,7 @@ class TestAssumptions:
         assert rep["T3"].witness == pytest.approx(2.0, abs=0.05)
 
     def test_log_concave(self):
-        rep = check_assumptions(Transform.log_concave())
+        rep = check_assumptions(Transform.power(0.0))
         assert rep["T1"].status == "pass"
         assert rep["T4"].status == "pass"
         assert rep["T2"].status == "vacuous"
@@ -192,7 +196,7 @@ class TestNesting:
 
 
 class TestMonotonicity:
-    @pytest.mark.parametrize("t", [Transform.log_concave(), Transform.power(-0.5),
+    @pytest.mark.parametrize("t", [Transform.power(0.0), Transform.power(-0.5),
                                    Transform.power(0.5), Transform.power(-2.0)])
     def test_eval_nondecreasing(self, t):
         lo = t.y0_tilde if math.isfinite(t.y0_tilde) else -50.0
