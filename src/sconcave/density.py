@@ -405,9 +405,9 @@ def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
     """Envelope of the M-sandwich class for transform t.
 
     ``L`` is the inverse-transform gap between density levels 1/M and 1/(2M).
-    For s = 0 the tail constant D comes from probing
-    ``h`` (normalized so that h^{-1}(M) = -1) against ``(-y)^(-alpha)`` on
-    a geometric grid down to -2^20.
+    For s = 0 the tail constant D = 4M/e is the exact supremum of
+    ``h(y) (-y)^alpha`` over y <= -1, with h normalized so that
+    h^{-1}(M) = -1, that is ``M e^{1+y} y^2``, attained at y = -2.
     """
     if M <= 0:
         raise ValueError("M must be positive")
@@ -418,16 +418,7 @@ def envelope_for_class(M: float, t: Transform) -> EnvelopeFn:
     if not L > 0:
         raise UnsupportedTransformError("inverse transform gap L must be positive")
     cutoff = 2.0 * M + 1.0
-    if t.s < 0:
-        D = 1.0
-    else:
-        # shift h so the normalized transform satisfies h_M^{-1}(M) = -1
-        shift = 1.0 + t.inverse(M)
-        ys = -np.power(2.0, np.linspace(0.0, 20.0, 257))
-        hv = np.asarray([t.eval(float(y + shift)) for y in ys])
-        ratio = hv * np.power(-ys, t.alpha)
-        ok = np.isfinite(ratio)  # ratio[0] = M; far points can overflow at large alpha
-        D = float(np.max(ratio[ok])) * 1.01
+    D = 1.0 if t.s < 0 else 4.0 * M / math.e
     env = EnvelopeFn(M=M, transform=t, L=L, D=D, cutoff=cutoff)
     seam_ratio = M / max(env(cutoff), 1e-300)
     if seam_ratio > 20.0:

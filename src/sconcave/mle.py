@@ -50,8 +50,8 @@ class FitConfig:
     def __post_init__(self):
         if not -1.0 < self.s < math.inf:
             raise ValueError(f"the MLE requires -1 < s < inf, got s = {self.s}")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate as _sintegrate
 
 from .density import ReferenceDistribution, hellinger, l1_distance, reference, sample
 from .mle import FitConfig, FitResult, fit, loglik_ratio
@@ -246,20 +245,13 @@ def entropy_integral(K: float, delta: float) -> float:
     return (4.0 / 3.0) * math.sqrt(K) * delta ** 0.75
 
 
-def entropy_integral_quadrature(K: float, delta: float) -> float:
-    """Independent quadrature of the entropy integral (endpoint singularity)."""
-    val, _ = _sintegrate.quad(lambda e: math.sqrt(K * e ** -0.5), 0.0, delta,
-                              limit=400, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
 def rate_equation_check(K: float, n_grid: Sequence[int],
                         c_grid: Optional[Sequence[float]] = None) -> dict:
     """Verify that r_n = c n^(2/5) solves the local-modulus inequality.
 
     With Psi(delta) = J(delta) (1 + J(delta)/(delta^2 sqrt(n))), report for
-    each n the admissible range of c with r_n^2 Psi(1/r_n) <= sqrt(n), plus
-    the quadrature cross-check of the closed-form J.
+    each n the admissible range of c with r_n^2 Psi(1/r_n) <= sqrt(n), and
+    the largest c admissible for every n.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -269,8 +261,6 @@ def rate_equation_check(K: float, n_grid: Sequence[int],
         c_pivot = (3.0 / (4.0 * math.sqrt(K))) ** 0.8
         c_grid = np.geomspace(c_pivot * 1e-4, c_pivot * 1e4, 641)
     c_grid = np.asarray(c_grid, dtype=float)
-    j_err = max(abs(entropy_integral(K, d) - entropy_integral_quadrature(K, d))
-                / entropy_integral(K, d) for d in (0.1, 1.0))
     rows = []
     admissible_all = np.ones(c_grid.shape, dtype=bool)
     for n in n_grid:
@@ -286,5 +276,4 @@ def rate_equation_check(K: float, n_grid: Sequence[int],
         c_max = float(c_grid[ok].max()) if ok.any() else 0.0
         rows.append({"n": int(n), "c_max": c_max})
     c_star = float(c_grid[admissible_all].max()) if admissible_all.any() else 0.0
-    return {"J_quadrature_relative_error": float(j_err),
-            "per_n": rows, "c_admissible": c_star}
+    return {"per_n": rows, "c_admissible": c_star}

@@ -16,7 +16,6 @@ from sconcave.entropy import (BoundedConcaveClass, TailClass, build_cover,
                               sample_members, verify_bracketing)
 from sconcave.mle import FitConfig, demonstrate_nonexistence, fit, objective
 from sconcave.rate_harness import (RateStudyConfig, entropy_integral,
-                                   entropy_integral_quadrature,
                                    rate_equation_check, run_rate_study)
 from sconcave.transforms import Transform
 
@@ -213,7 +212,7 @@ class TestMleUnitTruths:
 
 
 class TestRateEquation:
-    def test_bookkeeping(self):
+    def test_bookkeeping(self, entropy_integral_quadrature):
         # K from the measured entropy curve of the r=2 tail class
         desc = TailClass(Transform.power(-1.0), 2.0)
         bset = build_cover(desc, 0.05, 2.0)

@@ -96,6 +96,10 @@ class TestFit:
         assert r.exit_code == 1
         assert "Error:" in r.output
         assert isinstance(r.exception, SystemExit)  # a usage error, not a traceback
+        r = runner.invoke(main, ["fit", str(data), "--s", "0", "--grad-tol", "nan"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output
+        assert isinstance(r.exception, SystemExit)
 
 
 class TestNonexistenceDemo:

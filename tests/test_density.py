@@ -252,6 +252,10 @@ class TestEnvelope:
         # polynomial envelope dominates the exact exponential bound
         exact = np.exp(-env.L * xs / 2.0)
         assert np.all(env(xs) >= exact)
+        for M in (1.0, 5.0):
+            # sup of M e^{1+y} y^2 over y <= -1, attained at y = -2
+            D = envelope_for_class(M, Transform.power(0.0)).D
+            assert D == pytest.approx(4.0 * M / math.e, rel=1e-15)
 
 
 class TestMemberOfClass:

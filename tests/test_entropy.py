@@ -94,10 +94,6 @@ class TestBoundedConcaveCover:
 
 
 class TestTransformedCover:
-    def test_level_values(self):
-        # the range discretization proceeds by powers of two
-        assert -(2.0 ** 3) == -8.0
-
     def test_bracketing_members(self):
         t = Transform.power(-1.0)
         bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)

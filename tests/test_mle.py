@@ -236,6 +236,11 @@ class TestExistence:
             with pytest.raises(ValueError):
                 FitConfig(s=s)
 
+    def test_config_rejects_nonfinite_grad_tol(self):
+        for grad_tol in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FitConfig(s=0.0, grad_tol=grad_tol)
+
 
 class TestNonexistence:
     def test_critical_scale_value(self):

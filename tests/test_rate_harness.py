@@ -8,8 +8,7 @@ import pytest
 from sconcave.density import reference, sample
 from sconcave.mle import FitConfig, fit
 from sconcave.rate_harness import (RateStudyConfig, consistency_diagnostics,
-                                   derived_seed, entropy_integral,
-                                   entropy_integral_quadrature, fit_slope,
+                                   derived_seed, entropy_integral, fit_slope,
                                    rate_equation_check, run_rate_study)
 
 
@@ -32,7 +31,7 @@ class TestFitSlope:
 
 
 class TestRateEquation:
-    def test_entropy_integral_closed_form(self):
+    def test_entropy_integral_closed_form(self, entropy_integral_quadrature):
         for K in (0.5, 1.0, 4.0):
             for delta in (0.1, 1.0):
                 exact = entropy_integral(K, delta)
@@ -41,7 +40,6 @@ class TestRateEquation:
 
     def test_admissible_constant(self):
         out = rate_equation_check(1.0, [100, 1000, 10_000, 100_000])
-        assert out["J_quadrature_relative_error"] < 1e-10
         assert out["c_admissible"] > 0.1  # c = 0.1 works for K = 1
         # the closed-form threshold solves q(1+q) = 1 with q = (4/3) sqrt(K) c^(5/4)
         q_star = (math.sqrt(5.0) - 1.0) / 2.0

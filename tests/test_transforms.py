@@ -1,4 +1,4 @@
-"""Transform evaluation, inversion, assumption probes, and generalized means."""
+"""Transform evaluation, inversion, the assumption table, and generalized means."""
 
 import math
 
@@ -133,11 +133,20 @@ class TestAssumptions:
         rep = check_assumptions(Transform.power(2.0))
         assert rep["T2"].status == "fail"
         assert check_assumptions(Transform.power(0.5))["T2"].status == "pass"
+        # h' ~ y^(1/s - 1) is unbounded at 0+ for every s > 1, however close
+        rep = check_assumptions(Transform.power(1.03))
+        assert rep["T2"].status == "fail"
+        assert rep["T2"].witness == pytest.approx(1.0 / 1.03 - 1.0, rel=1e-15)
 
     def test_boundary_pole_fails_t3(self):
         # exact pole order 1 cannot satisfy the strict beta > 1 requirement
         rep = check_assumptions(Transform.power(-1.0))
         assert rep["T3"].status == "fail"
+
+    def test_pole_just_above_one_passes_t3(self):
+        rep = check_assumptions(Transform.power(-0.999))
+        assert rep["T3"].status == "pass"
+        assert rep["T3"].witness == pytest.approx(1.0 / 0.999, rel=1e-15)
 
 
 class TestGeneralizedMean:
