@@ -200,6 +200,8 @@ def cmd_entropy_study(config_file, out, seed):
         r = float(raw["r"])
         eps_grid = [float(e) for e in raw["eps_grid"]]
         n_members = int(raw.get("members", 200))
+        if n_members < 1:
+            raise ValueError(f"members must be at least 1, got {n_members}")
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad entropy config: {exc}")
     members = _entropy.sample_members(descriptor, n_members, seed)
@@ -211,16 +213,21 @@ def cmd_entropy_study(config_file, out, seed):
             raise CliError(f"eps = {eps}: {exc}")
         rep = _entropy.verify_bracketing(bset, members)
         rows.append({"eps": eps, "log_cardinality": bset.log_cardinality,
-                     "max_size": rep.max_observed_size,
+                     "max_size": rep.max_observed_size, "size_bound": bset.size_bound,
+                     "size_slack": rep.max_observed_size / bset.size_bound,
                      "covered_fraction": rep.covered_fraction})
-    curve = _entropy.entropy_curve(descriptor, eps_grid, r)
+    try:
+        curve = _entropy.entropy_curve(descriptor, eps_grid, r)
+    except ValueError as exc:
+        raise CliError(str(exc))
     with open(f"{out}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "count_log10", "log_cardinality", "max_size",
-                         "covered_fraction"])
+                         "size_bound", "size_slack", "covered_fraction"])
         for row in rows:
             writer.writerow([row["eps"], row["log_cardinality"] / math.log(10.0),
                              row["log_cardinality"], f"{row['max_size']:.8g}",
+                             f"{row['size_bound']:.8g}", f"{row['size_slack']:.8g}",
                              row["covered_fraction"]])
     _write_json({"fitted_exponent": curve.exponent, "rows": rows}, f"{out}.json")
 

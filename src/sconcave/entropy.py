@@ -445,26 +445,6 @@ def cover_bounded_concave(b1: float, b2: float, B: float, eps: float, r: float,
 # Transformed classes on a compact interval: level-wise covers
 # ----------------------------------------------------------------------
 
-class _NormalizedTransform:
-    """Height-scaled, shifted view of h with h_hat^{-1}(1) = -1."""
-
-    def __init__(self, t: Transform, B: float):
-        self.base = t
-        self.B = B
-        self.shift = 1.0 + t.inverse(B)
-        if t.y0_tilde == -math.inf:
-            self.y0 = -math.inf
-        else:
-            self.y0 = t.y0_tilde - self.shift
-
-    def inverse(self, u: float) -> float:
-        return self.base.inverse(self.B * u) - self.shift
-
-    def to_f_units(self, phi_value: float) -> float:
-        """Original-density value of a normalized phi level."""
-        return self.base.eval(phi_value + self.shift)
-
-
 def _interval_diff(interval, covered):
     """interval minus covered (both (lo, hi) or None): list of intervals."""
     if interval is None:
@@ -522,10 +502,16 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
                       eps: float, r: float) -> BracketSet:
     """L_r brackets for transformed functions h(phi) bounded by B on [b1, b2].
 
-    The range of phi is discretized at the levels -2^gamma (after normalizing
-    h so that level -1 maps to the height bound); each level gets a support
-    grid of resolution eps^r (-y)^(r alpha/2) and concave brackets of L_r
-    size eps (-y)^((alpha+1)/2), assembled through h with plateau rings.
+    phi is shifted down by ``shift = 1 + h^{-1}(B)``, which puts the height
+    bound at level -1, and the shifted range is cut into bands [y_lo, y_hi]
+    at the levels -2^g (one band from h's shifted zero point up to -1 when
+    that point is finite).  With eps_sc = eps / (B (b2-b1)^(1/r)), each band
+    rounds the shifted member's superlevel set at y_lo to a support grid of
+    ceil(2 / (eps_sc^r |y_hi|^(r alpha ZETA))) steps across [b1, b2], and
+    brackets it between grid points by concave brackets of L_r size
+    eps_sc |y_hi|^((alpha+1) ZETA) (b2-b1)^(1/r), mapped through h, with
+    plateau rings at the edges.  Grid point l is b1 + l * step, computed
+    where needed and never stored; the last one is b2 itself.
     """
     if not (b1 < b2 and B > 0 and eps > 0 and r >= 1):
         raise ValueError("need b1 < b2 and positive B, eps, r >= 1")
@@ -536,94 +522,70 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
         raise ThresholdError(
             f"eps = {eps} exceeds the validity threshold eps* x B (b2-b1)^(1/r) = "
             f"{EPS_STAR * scale}")
-    hn = _NormalizedTransform(t, B)
+    shift = 1.0 + t.inverse(B)
     alpha = t.alpha
     descriptor = TransformedCompactClass(t, b1, b2, B)
 
     if t.y0_tilde == -math.inf:
         # ceiling keeps the outside constant h(y_k) at or below eps/EPS0,
         # which the coverage argument for the deepest ring requires
-        k_eps = max(1, int(math.ceil(math.log2(abs(hn.inverse(eps_sc / EPS0))))))
-        levels = [-(2.0 ** g) for g in range(1, k_eps + 1)]
+        k_eps = max(1, int(math.ceil(math.log2(abs(
+            t.inverse(B * (eps_sc / EPS0)) - shift)))))
+        bands = [(-(2.0 ** g), -(2.0 ** (g - 1))) for g in range(1, k_eps + 1)]
+        const_out = t.eval(bands[-1][0] + shift)
     else:
-        k_eps = 1
-        levels = [hn.y0]
-    eps_b, eps_s = [], []
-    for g, y in enumerate(levels, start=1):
-        y_prev = -(2.0 ** (g - 1)) if t.y0_tilde == -math.inf else -1.0
-        eps_b.append(eps_sc * abs(y_prev) ** ((alpha + 1.0) * ZETA))
-        eps_s.append(eps_sc ** r * abs(y_prev) ** (r * alpha * ZETA))
-
-    grids = []
-    level_caches: List[dict] = []
+        bands = [(-shift, -1.0)]
+        const_out = 0.0
+    levels = []  # (y_lo, y_hi, bracket budget, grid step, last grid index, sub-covers)
     log_card = 0.0
-    for g in range(k_eps):
-        n_pts = int(math.ceil(2.0 / eps_s[g])) + 1
-        n_pts = min(n_pts, 4_000_000)
-        grids.append(np.linspace(b1, b2, n_pts))
-        y_lo = levels[g]
-        y_hi = levels[g] / 2.0 if t.y0_tilde == -math.inf else -1.0
-        band_half = 0.5 * (y_hi - y_lo)
-        full = cover_bounded_concave(b1, b2, band_half if band_half > 0 else 1.0,
-                                     eps_b[g] * width ** (1.0 / r), r,
+    for y_lo, y_hi in bands:
+        budget = eps_sc * abs(y_hi) ** ((alpha + 1.0) * ZETA) * width ** (1.0 / r)
+        n_pts = int(math.ceil(2.0 / (eps_sc ** r * abs(y_hi) ** (r * alpha * ZETA)))) + 1
+        full = cover_bounded_concave(b1, b2, 0.5 * (y_hi - y_lo), budget, r,
                                      _allow_shrink=True)
         log_card += 2.0 * math.log(n_pts + 2) + full.log_cardinality
-        level_caches.append({})
-
-    const_out = hn.to_f_units(levels[-1]) if t.y0_tilde == -math.inf else 0.0
+        levels.append((y_lo, y_hi, budget, width / (n_pts - 1), n_pts - 1, {}))
 
     def locate(member) -> Bracket:
         # member: object with .phi (PiecewiseConcave) in original phi-space,
         # or a PiecewiseConcave directly, or None for the zero function
         phi = getattr(member, "phi", member)
-        phi_hat = None
-        if phi is not None:
-            phi_hat = PiecewiseConcave(phi.knots, phi.values - hn.shift)
+        phi_hat = None if phi is None else PiecewiseConcave(phi.knots, phi.values - shift)
         pieces: List[BracketPiece] = []
         covered = None
-        for g in range(k_eps):
-            y_lo = levels[g]
-            y_hi = levels[g] / 2.0 if t.y0_tilde == -math.inf else -1.0
-            grid = grids[g]
-            h_step = grid[1] - grid[0] if grid.size > 1 else width
+        for y_lo, y_hi, budget, step, last, cache in levels:
+            def point(l):
+                return b2 if l == last else b1 + l * step
+
             region = phi_hat.superlevel_set(y_lo) if phi_hat is not None else None
+            has_pair = False
+            i_u = None
             if region is not None:
-                d_lo = max(region[0], b1)
-                d_hi = min(region[1], b2)
-                l_lo = max(0, int(math.floor((d_lo - b1) / h_step)))
-                l_hi = min(grid.size - 1, int(math.ceil((d_hi - b1) / h_step)))
-                i_u = (grid[l_lo], grid[l_hi])
-                l1 = int(math.ceil((d_lo - b1) / h_step - 1e-12))
-                l2 = int(math.floor((d_hi - b1) / h_step + 1e-12))
+                d_lo = (max(region[0], b1) - b1) / step  # in grid steps
+                d_hi = (min(region[1], b2) - b1) / step
+                i_u = (point(max(0, math.floor(d_lo))), point(min(last, math.ceil(d_hi))))
+                l1 = math.ceil(d_lo - 1e-12)
+                l2 = math.floor(d_hi + 1e-12)
                 has_pair = l1 < l2
-            else:
-                i_u = None
-                has_pair = False
             if has_pair:
-                p_lo, p_hi = grid[l1], grid[l2]
-                key = (l1, l2)
-                cache = level_caches[g]
-                if key not in cache:
-                    band_half = 0.5 * (y_hi - y_lo)
-                    cache[key] = cover_bounded_concave(
-                        p_lo, p_hi, band_half, eps_b[g] * width ** (1.0 / r), r,
-                        _allow_shrink=True)
-                sub = cache[key]
+                p_lo, p_hi = point(l1), point(l2)
+                if (l1, l2) not in cache:
+                    cache[l1, l2] = cover_bounded_concave(
+                        p_lo, p_hi, 0.5 * (y_hi - y_lo), budget, r, _allow_shrink=True)
                 center = 0.5 * (y_lo + y_hi)
                 clipped = phi_hat.restrict_domain((p_lo, p_hi)).clip_above(y_hi)
                 shifted = PiecewiseConcave(clipped.knots, clipped.values - center)
-                sub_bracket = sub.locate(shifted)
+                sub_bracket = cache[l1, l2].locate(shifted)
                 for part_lo, part_hi in _interval_diff((p_lo, p_hi), covered):
                     for piece in _clip_pieces_to(sub_bracket.pieces, part_lo, part_hi):
                         pieces.append(_phi_piece_to_f(
-                            piece, t, center + hn.shift,
-                            y_lo + hn.shift, y_hi + hn.shift))
+                            piece, t, center + shift, y_lo + shift, y_hi + shift))
             ring = _interval_diff(i_u, covered)
             if has_pair:
                 # subtract covered and the pair in turn: their hull would hide
                 # a stretch between the inward-rounded pair and covered
                 ring = [q for part in ring for q in _interval_diff(part, (p_lo, p_hi))]
-            plateau = hn.to_f_units(y_hi)
+            plateau = t.eval(y_hi + shift)
             for part_lo, part_hi in ring:
                 pieces.append(BracketPiece(part_lo, part_hi,
                                            ("const", 0.0), ("const", plateau)))
@@ -803,8 +765,9 @@ def _covers(bracket: Bracket, member) -> bool:
     peak = np.max(np.abs(phi.values if t is None else t._eval_array(phi.values)))
     tol = COVER_TOL * max(1.0, float(peak))
     idx, low, up, starts, stops = _sides_on(bracket.pieces, x)
-    # a stretch of the support in no piece leaves the member uncovered; ends of
-    # separate linspace grids may sit 1 ulp apart, so gaps up to 1e-12 relative close
+    # a stretch of the support in no piece leaves the member uncovered; ends
+    # computed on different support grids may sit 1 ulp apart, so gaps up to
+    # 1e-12 relative close
     depth = np.cumsum(np.bincount(starts, minlength=x.size)
                       - np.bincount(stops - 1, minlength=x.size))
     hole = (depth[:-1] == 0) & (x[:-1] >= s_lo) & (x[1:] <= s_hi)

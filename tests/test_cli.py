@@ -189,11 +189,16 @@ class TestEntropyStudy:
                                  "--out", prefix])
         assert r.exit_code == 0, r.output
         rows = (tmp_path / "ent.csv").read_text().splitlines()
-        assert rows[0] == "eps,count_log10,log_cardinality,max_size,covered_fraction"
+        assert rows[0] == ("eps,count_log10,log_cardinality,max_size,size_bound,"
+                           "size_slack,covered_fraction")
         assert len(rows) == 5
         doc = json.loads((tmp_path / "ent.json").read_text())
         assert 0.4 <= doc["fitted_exponent"] <= 0.7
-        assert all(row["covered_fraction"] == 1.0 for row in doc["rows"])
+        for row in doc["rows"]:
+            assert row["covered_fraction"] == 1.0
+            assert row["size_bound"] == row["eps"]
+            assert row["size_slack"] == pytest.approx(row["max_size"] / row["eps"], rel=1e-15)
+            assert 0.0 < row["size_slack"] <= 1.0
 
     def test_eps_above_threshold_is_an_error(self, runner, tmp_path):
         cfg = {"version": 1, "class": "bounded_concave",
@@ -205,6 +210,33 @@ class TestEntropyStudy:
                                  "--out", str(tmp_path / "ent")])
         assert r.exit_code == 1
         assert "eps = 0.5" in r.output and "eps_3" in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+
+    @pytest.mark.parametrize("members", [0, -1])
+    def test_no_members_is_an_error(self, runner, tmp_path, members):
+        # with no members nothing is verified: coverage 1.0 would be vacuous
+        cfg = {"version": 1, "class": "bounded_concave",
+               "eps_grid": [0.2, 0.1, 0.05], "r": 1.0, "members": members}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["entropy-study", str(cfg_path), "--seed", "5",
+                                 "--out", str(tmp_path / "ent")])
+        assert r.exit_code == 1
+        assert "Error:" in r.output and "members must be at least 1" in r.output
+        assert "Traceback" not in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert not (tmp_path / "ent.json").exists()
+
+    def test_too_few_eps_is_an_error(self, runner, tmp_path):
+        cfg = {"version": 1, "class": "bounded_concave",
+               "eps_grid": [0.2, 0.1], "r": 1.0, "members": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["entropy-study", str(cfg_path), "--seed", "5",
+                                 "--out", str(tmp_path / "ent")])
+        assert r.exit_code == 1
+        assert "Error:" in r.output and "fewer than 3 valid eps" in r.output
+        assert "Traceback" not in r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
 
 
