@@ -247,16 +247,11 @@ class TransformedDensity:
 
 def _as_view(obj) -> Tuple[Callable[[np.ndarray], np.ndarray], Tuple[float, float], np.ndarray]:
     """Normalize a density argument to (vectorized pdf, support, breakpoints)."""
-    if isinstance(obj, TransformedDensity):
-        return obj.pdf, obj.support, obj.breakpoints()
-    if hasattr(obj, "pdf") and hasattr(obj, "support"):
-        bp = np.asarray(getattr(obj, "breakpoints", lambda: [])(), dtype=float)
-        f = obj.pdf
-        return (lambda x: np.asarray(f(np.asarray(x, dtype=float)))), tuple(obj.support), bp
-    if callable(obj):
-        f = np.vectorize(obj, otypes=[float])
-        return (lambda x: f(x)), (-math.inf, math.inf), np.asarray([])
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a density")
+    if not (hasattr(obj, "pdf") and hasattr(obj, "support")):
+        raise TypeError(f"cannot interpret {type(obj).__name__} as a density")
+    bp = np.asarray(getattr(obj, "breakpoints", lambda: [])(), dtype=float)
+    f = obj.pdf
+    return (lambda x: np.asarray(f(np.asarray(x, dtype=float)))), tuple(obj.support), bp
 
 
 def _integration_edges(p, q) -> np.ndarray:

@@ -12,8 +12,9 @@ Four nested constructions:
    phi at the levels -2^gamma with per-level bracket and support-grid budgets,
    then assemble upper/lower envelopes through h.
 4. The heavy-tailed class of transformed densities bounded by M: partition the
-   line into polynomially growing intervals, spend per-interval budgets shaped
-   by the class envelope, and close the far tail with zero brackets.
+   line into a central interval and polynomially growing intervals on both
+   sides, give every interval its own cover at a budget shaped by the class
+   envelope, and close the far tail with zero and envelope brackets.
 
 Bracket families are combinatorially large, so a BracketSet is stored lazily:
 its exact log-cardinality comes from the generator parameter space, and
@@ -605,130 +606,93 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
 
 def _interval_schedule(env: EnvelopeFn, M: float, eps: float, r: float,
                        alpha: float):
-    """The polynomial partition with per-interval budgets and the I* split."""
+    """The central interval and the polynomial partition of [c0, inf).
+
+    Returns rows (lo, hi, B, A, a), the central interval (-c0, c0) first, each
+    with envelope height B, class scale A = B len^(1/r) and budget share
+    a = A^(1/(2r+1)); and the envelope's L_r tail mass beyond x.  They stop once
+    a zero bracket fits an interval's budget and the tail mass beyond is small.
+    """
     d_env, l_env, _ = env.tail_params()
     if alpha <= 1.0 / r:
         raise HypothesisError(
             f"tail exponent alpha = {alpha} must exceed 1/r = {1.0 / r}")
-    gamma = ((2.0 * r + 1.0) / r) * 2.0 / (alpha - 1.0 / r)
-    gamma = max(gamma, 1.0)
+    gamma = max(((2.0 * r + 1.0) / r) * 2.0 / (alpha - 1.0 / r), 1.0)
     c0 = 2.0 * M + 1.0
-    rows = []
-    a0 = (M * (4.0 * M + 2.0) ** (1.0 / r)) ** (1.0 / (2.0 * r + 1.0))
-    rows.append({"i": 0, "lo": -c0, "hi": c0, "B": M,
-                 "A": M * (4.0 * M + 2.0) ** (1.0 / r), "a": a0})
+    big_a = M * (4.0 * M + 2.0) ** (1.0 / r)
+    rows = [(-c0, c0, M, big_a, big_a ** (1.0 / (2.0 * r + 1.0)))]
+
     # tail mass beyond x of env^r, used to stop the enumeration
     def tail_mass(x):
         base = 1.0 + l_env * x / (2.0 * M)
         return (d_env ** r * (2.0 * M / l_env)
                 * base ** (1.0 - alpha * r) / (alpha * r - 1.0)) ** (1.0 / r)
 
-    i = 1
-    while True:
+    for i in range(1, 10_002):
         lo_nom = float(i) ** gamma
         hi_nom = float(i + 1) ** gamma
         if hi_nom > c0:
-            lo = max(lo_nom, c0)
             b_i = d_env * (1.0 + lo_nom * l_env / (2.0 * M)) ** (-alpha)
-            length = hi_nom - lo_nom
-            a_val = (b_i * length ** (1.0 / r)) ** (1.0 / (2.0 * r + 1.0))
-            rows.append({"i": i, "lo": lo, "hi": hi_nom, "B": b_i,
-                         "A": b_i * length ** (1.0 / r), "a": a_val})
-            in_star = eps * a_val > EPS_STAR * rows[-1]["A"]
-            if in_star and tail_mass(hi_nom) < 0.02 * eps:
+            big_a = b_i * (hi_nom - lo_nom) ** (1.0 / r)
+            a_i = big_a ** (1.0 / (2.0 * r + 1.0))
+            rows.append((max(lo_nom, c0), hi_nom, b_i, big_a, a_i))
+            if eps * a_i > EPS_STAR * big_a and tail_mass(hi_nom) < 0.02 * eps:
                 break
-        if i > 10_000:
-            break
-        i += 1
-    return rows, gamma, tail_mass
+    return rows, tail_mass
 
 
 def cover_tail_class(t: Transform, M: float, eps: float, r: float) -> BracketSet:
     """L_r brackets for the M-sandwich class of t-transformed densities on R.
 
-    Central interval at full resolution, polynomially growing tail intervals
-    with envelope-shaped budgets ``eps * A_i^(1/(2r+1))``, zero brackets where
-    the budget exceeds the threshold share of the envelope, and an exact
-    envelope bracket closing the far tail.
+    The central interval and the polynomially growing tail intervals on both
+    sides each get their own cover at the envelope-shaped budget
+    ``eps * A_i^(1/(2r+1))``, or a zero bracket where that budget exceeds the
+    threshold share of the envelope; an exact envelope bracket closes each far
+    tail.  A member is restricted to each interval its support meets and is
+    the zero function on the rest.
     """
     if M <= 0 or eps <= 0 or r < 1:
         raise ValueError("need positive M, eps and r >= 1")
-    alpha = t.alpha
     env = envelope_for_class(M, t)
-    rows, gamma, tail_mass = _interval_schedule(env, M, eps, r, alpha)
-    descriptor = TailClass(t, M)
-    sub_sets = {}
+    rows, tail_mass = _interval_schedule(env, M, eps, r, t.alpha)
     log_card = 0.0
-    plan = []  # (side, row, kind, sub_or_height)
-    for row in rows:
-        budget = eps * row["a"]
-        in_star = budget > EPS_STAR * row["A"]
-        if in_star:
-            length = row["hi"] - row["lo"]
-            height = budget / (EPS_STAR * max(length, 1.0) ** (1.0 / r))
-            plan.append((row, "zero", height))
+    plan = []  # (lo, hi, zero-bracket height or cover), central interval first
+    for k, (lo, hi, B, A, a) in enumerate(rows):
+        budget = eps * a
+        sides = [(lo, hi)] if k == 0 else [(-hi, -lo), (lo, hi)]
+        if budget > EPS_STAR * A:
+            height = budget / (EPS_STAR * max(hi - lo, 1.0) ** (1.0 / r))
+            plan += [(x0, x1, height) for x0, x1 in sides]
         else:
-            sub = cover_transformed(t, row["lo"], row["hi"], row["B"], budget, r)
-            plan.append((row, "cover", sub))
-            mult = 1.0 if row["i"] == 0 else 2.0  # mirrored negative interval
-            log_card += mult * sub.log_cardinality
-    x_end = rows[-1]["hi"]
+            plan += [(x0, x1, cover_transformed(t, x0, x1, B, budget, r))
+                     for x0, x1 in sides]
+            # one side's count doubled, in row order: the committed counts
+            # depend on the order of this sum
+            log_card += len(sides) * plan[-1][2].log_cardinality
+    x_end = rows[-1][1]
     tail_size_r = tail_mass(x_end) ** r
 
     def locate(member) -> Bracket:
         phi = getattr(member, "phi", None)
-        support = getattr(member, "support", None)
-        pieces: List[BracketPiece] = []
-        for row, kind, payload in plan:
-            for sgn in ((1,) if row["i"] == 0 else (1, -1)):
-                lo, hi = (row["lo"], row["hi"]) if sgn == 1 else (-row["hi"], -row["lo"])
-                if kind == "zero":
-                    pieces.append(BracketPiece(lo, hi, ("const", 0.0),
-                                               ("const", payload)))
-                    continue
-                part = None
-                if phi is not None and support is not None:
-                    s_lo, s_hi = support
-                    if s_hi > lo and s_lo < hi:
-                        part = phi.restrict_domain((max(lo, s_lo), min(hi, s_hi)))
-                if sgn == 1:
-                    br = payload.locate(part)
-                    pieces.extend(br.pieces)
-                else:
-                    flipped = None
-                    if part is not None:
-                        flipped = PiecewiseConcave(-part.knots[::-1],
-                                                   part.values[::-1])
-                    br_pos = payload.locate(flipped)
-                    mirrored = [BracketPiece(-q.b, -q.a, _mirror_spec(q.lower),
-                                             _mirror_spec(q.upper))
-                                for q in br_pos.pieces]
-                    mirrored.sort(key=lambda q: q.a)
-                    pieces.extend(mirrored)
-        # far tails: exact envelope brackets
-        pieces.append(BracketPiece(x_end, math.inf, ("const", 0.0),
-                                   ("env", env), exact_size_r=tail_size_r))
-        pieces.append(BracketPiece(-math.inf, -x_end, ("const", 0.0),
-                                   ("env", env), exact_size_r=tail_size_r))
+        s_lo, s_hi = getattr(member, "support", (math.inf, -math.inf))
+        pieces = [BracketPiece(-math.inf, -x_end, ("const", 0.0), ("env", env),
+                               exact_size_r=tail_size_r),
+                  BracketPiece(x_end, math.inf, ("const", 0.0), ("env", env),
+                               exact_size_r=tail_size_r)]
+        for lo, hi, payload in plan:
+            if not isinstance(payload, BracketSet):
+                pieces.append(BracketPiece(lo, hi, ("const", 0.0), ("const", payload)))
+                continue
+            part = None
+            if phi is not None and s_hi > lo and s_lo < hi:
+                part = phi.restrict_domain((max(lo, s_lo), min(hi, s_hi)))
+            pieces.extend(payload.locate(part).pieces)
         pieces.sort(key=lambda p: p.a)
         return Bracket(pieces)
 
-    size_bound = eps * (sum(row["a"] ** r for row in rows) * 2.0) ** (1.0 / r) \
-        / min(EPS_STAR, 1.0)
-    return BracketSet(descriptor, eps, r, log_card, size_bound, locate=locate)
+    size_bound = eps * (sum(a ** r for *_, a in rows) * 2.0) ** (1.0 / r) / EPS_STAR
+    return BracketSet(TailClass(t, M), eps, r, log_card, size_bound, locate=locate)
 
-
-def _mirror_spec(spec):
-    kind = spec[0]
-    if kind == "const":
-        return spec
-    if kind == "pl":
-        _, xs, vs = spec
-        return ("pl", -xs[::-1], vs[::-1])
-    if kind == "hpl_clip":
-        _, transform, xs, vs, y_lo, y_hi = spec
-        return ("hpl_clip", transform, -xs[::-1], vs[::-1], y_lo, y_hi)
-    raise ValueError(f"cannot mirror piece kind {kind!r}")
 
 # ----------------------------------------------------------------------
 # Verification and entropy curves

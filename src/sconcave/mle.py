@@ -593,6 +593,8 @@ def demonstrate_nonexistence(data: Sequence[float], s: float,
     """
     if not s < -1.0:
         raise ValueError("non-existence demonstration requires s < -1")
+    if a_grid_size < 2:
+        raise ValueError(f"a_grid_size must be at least 2, got {a_grid_size}")
     arr = np.asarray(data, dtype=float)
     if arr.size == 0:
         raise ValueError("data must be nonempty")

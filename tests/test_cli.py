@@ -118,6 +118,12 @@ class TestNonexistenceDemo:
         r = runner.invoke(main, ["nonexistence-demo", "--s", "-0.5"])
         assert r.exit_code == 1
 
+    def test_rejects_an_empty_grid(self, runner):
+        r = runner.invoke(main, ["nonexistence-demo", "--s", "-2", "--grid-size", "0"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output
+        assert isinstance(r.exception, SystemExit)
+
     def test_shifts_nonpositive_data(self, runner, tmp_path):
         data = tmp_path / "d.txt"
         data.write_text("-1.0\n0.0\n2.0\n")

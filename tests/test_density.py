@@ -207,6 +207,13 @@ class TestHellinger:
                 for c in ds:
                     assert hellinger(a, c) <= hellinger(a, b) + hellinger(b, c) + 1e-7
 
+    def test_bare_callable_is_not_a_density(self):
+        d = make_density(0.0, [0, 1], [0, 0])
+        with pytest.raises(TypeError, match="function"):
+            hellinger(d, lambda x: 1.0)
+        with pytest.raises(TypeError, match="function"):
+            l1_distance(lambda x: 1.0, d)
+
 
 class TestL1:
     def test_identity_and_disjoint(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sconcave.concave_fn import PiecewiseConcave
-from sconcave.density import TransformedDensity
+from sconcave.density import TransformedDensity, member_of_class
 from sconcave.entropy import (BoundedConcaveClass, Bracket, BracketPiece, BracketSet,
                               HypothesisError, LipschitzConcaveClass, TailClass,
                               ThresholdError, TransformedCompactClass, build_cover,
@@ -17,6 +17,20 @@ from sconcave.entropy import (BoundedConcaveClass, Bracket, BracketPiece, Bracke
                               sample_density_class_members, sample_members,
                               verify_bracketing)
 from sconcave.transforms import Transform
+
+
+def _wide_member(k, lo, hi):
+    """The s = -1 density with 1/p = 2.5 + k (|x| - 1)_+^2 on (lo, hi), normalized.
+
+    Its knots sit on a geometric grid out from -1 and 1, so its support reaches
+    into the tail intervals of the M = 4 class (the central one is (-9, 9)).
+    """
+    knots = np.concatenate((-np.geomspace(-lo, 1.0, 12), np.geomspace(1.0, hi, 12)))
+    phi = -(2.5 + k * np.maximum(np.abs(knots) - 1.0, 0.0) ** 2)
+    return TransformedDensity(Transform.power(-1.0), PiecewiseConcave(knots, phi)).normalize()
+
+
+WIDE_MEMBERS = [(100, -792.0, 792.0), (60, -46.0, 322.0), (150, -243.0, 20.0)]
 
 
 class TestLipschitzCover:
@@ -107,15 +121,18 @@ class TestTransformedCover:
 
     def test_located_pieces_tile_the_support(self):
         # the level-2 pair, rounded inward on a coarser grid, used to leave
-        # (0.555, 0.5556) of member 38's support in no piece
+        # (0.555, 0.5556) of member 38's support in no piece; a tail-class
+        # bracket tiles the whole line, each interval's cover where it lies
         t = Transform.power(-1.0)
-        bset = cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0)
         member = sample_members(TransformedCompactClass(t, 0, 1, 1), 39, 21)[38]
-        lo, hi = member.support
-        pieces = [p for p in bset.locate(member).pieces if p.b > lo and p.a < hi]
-        assert pieces[0].a <= lo and max(p.b for p in pieces) >= hi
-        for p, q in zip(pieces, pieces[1:]):
-            assert q.a - p.b <= 1e-12 * max(abs(q.a), 1.0), (p.b, q.a)
+        cases = [(cover_transformed(t, 0.0, 1.0, 1.0, 0.1, 2.0), member, (0.0, 1.0)),
+                 (cover_tail_class(t, 4.0, 0.04, 2.0), _wide_member(*WIDE_MEMBERS[1]),
+                  (-math.inf, math.inf))]
+        for bset, member, (lo, hi) in cases:
+            pieces = bset.locate(member).pieces
+            assert (pieces[0].a, pieces[-1].b) == (lo, hi)
+            for p, q in zip(pieces, pieces[1:]):
+                assert abs(q.a - p.b) <= 1e-12 * max(abs(q.a), 1.0), (p.b, q.a)
 
     def test_no_hole_at_seed_7(self):
         # member 164 sat 0.496 high in a stretch (0.35, 0.35185) with no piece
@@ -175,6 +192,32 @@ class TestTailClassCover:
             assert rep.covered_fraction == 1.0
             ratios.append(rep.max_observed_size / eps)
         assert max(ratios) <= 1.2 * np.mean(ratios)
+
+    def test_members_reaching_the_tail_intervals(self):
+        # M = 4 keeps the envelope's seam drop (19x) below the warning level;
+        # the lopsided members reach the tail intervals on one side only
+        t = Transform.power(-1.0)
+        members = [_wide_member(*w) for w in WIDE_MEMBERS]
+        assert [m.support for m in members] == [(lo, hi) for _, lo, hi in WIDE_MEMBERS]
+        assert all(member_of_class(m, 4.0) for m in members)
+        for eps in (0.3, 0.15, 0.08, 0.04):
+            bset = cover_tail_class(t, 4.0, eps, 2.0)
+            rep = verify_bracketing(bset, members)
+            assert rep.covered_fraction == 1.0
+            assert rep.max_observed_size <= bset.size_bound
+
+    def test_committed_log_cardinalities(self, bench_fixture):
+        # the benchmark's entropy classes and their committed counts; the
+        # counts depend on the order in which the intervals' counts are summed
+        specs, load = bench_fixture
+        stored = load("entropy_log_cardinality.json")
+        keys = []
+        for cls in specs.ENTROPY_CLASSES:
+            for eps in cls.eps_grid:
+                keys.append(f"{cls.label}:{eps!r}")
+                bset = build_cover(cls.descriptor(), eps, cls.r)
+                assert bset.log_cardinality == stored[keys[-1]], keys[-1]
+        assert sorted(keys) == sorted(stored)
 
     def test_exponent_band(self):
         curve = entropy_curve(TailClass(Transform.power(-1.0), 2.0),

@@ -1,10 +1,6 @@
 """MLE unit truths: oracles on tiny samples, gradients, equivariance, nonexistence."""
 
-import importlib.util
-import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,14 +105,10 @@ class TestObjective:
             with pytest.raises(ValueError):
                 objective(values, [0.0, 1.0], s)
 
-    def test_stored_kernel_values(self, monkeypatch):
+    def test_stored_kernel_values(self, bench_fixture):
         # the benchmark's nine fixed objective points and their committed values
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        spec = importlib.util.spec_from_file_location("perfbench_specs", bench / "specs.py")
-        specs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, specs)  # dataclasses look it up
-        spec.loader.exec_module(specs)
-        stored = json.loads((bench / "fixtures" / "objective_kernel.json").read_text())
+        specs, load = bench_fixture
+        stored = load("objective_kernel.json")
         for sk, s in specs.KERNEL_S.items():
             for nk, n in specs.KERNEL_N.items():
                 want = stored[f"mle.objective.{sk}.{nk}.us"]
@@ -271,6 +263,11 @@ class TestNonexistence:
             demonstrate_nonexistence([1.0], -0.5)
         with pytest.raises(ValueError):
             demonstrate_nonexistence([-1.0, 2.0], -2.0)
+
+    def test_rejects_a_grid_below_two_points(self):
+        for size in (0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                demonstrate_nonexistence([1.0], -2.0, size)
 
 
 def _kink_setup(s, seed=3, n=40, m=7):
