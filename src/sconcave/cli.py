@@ -260,8 +260,10 @@ def _descriptor_from_config(raw: dict):
 @click.option("--out", default="-")
 def cmd_envelope_check(s_value, m_value, members, seed, out):
     """Check the class envelope against randomized members."""
-    t = Transform.power(s_value)
     try:
+        if members < 1:
+            raise ValueError(f"members must be at least 1, got {members}")
+        t = Transform.power(s_value)
         env = _density.envelope_for_class(m_value, t)
     except ValueError as exc:
         raise CliError(str(exc))

@@ -22,9 +22,8 @@ class DomainError(ValueError):
     """Operation applied outside the effective domain."""
 
 
-def _check_concave(knots: np.ndarray, values: np.ndarray, tol: float) -> None:
-    if knots.size >= 3:
-        slopes = np.diff(values) / np.diff(knots)
+def _check_concave(slopes: np.ndarray, values: np.ndarray, tol: float) -> None:
+    if slopes.size >= 2:
         scale = max(1.0, float(np.max(np.abs(values))), float(np.max(np.abs(slopes))))
         if np.any(np.diff(slopes) > tol * scale):
             worst = float(np.max(np.diff(slopes)))
@@ -48,14 +47,15 @@ class PiecewiseConcave:
             raise ValueError("need at least one knot")
         if np.any(~np.isfinite(knots)) or np.any(~np.isfinite(values)):
             raise ValueError("knots and values must be finite")
-        if np.any(np.diff(knots) <= 0):
+        dk = knots[1:] - knots[:-1]
+        if np.any(dk <= 0):
             raise ValueError("knots must be strictly increasing (merge ties first)")
-        _check_concave(knots, values, SLOPE_TOL)
+        slopes = (values[1:] - values[:-1]) / dk
+        _check_concave(slopes, values, SLOPE_TOL)
         knots.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        slopes = np.diff(values) / np.diff(knots) if knots.size > 1 else np.empty(0)
         slopes.flags.writeable = False
         object.__setattr__(self, "_slopes", slopes)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import special as _sspecial
 
 from .concave_fn import DomainError, PiecewiseConcave
 from .transforms import Transform, UnsupportedTransformError
@@ -464,8 +463,8 @@ class ReferenceDistribution:
     def __post_init__(self):
         if self.name not in ("gaussian", "laplace", "uniform", "pareto"):
             raise ValueError(f"unknown reference distribution {self.name!r}")
-        if self.name == "pareto" and self.beta <= 1.0:
-            raise DomainError("symmetric Pareto requires beta > 1")
+        if self.name == "pareto" and not (math.isfinite(self.beta) and self.beta > 1.0):
+            raise DomainError(f"symmetric Pareto requires a finite beta > 1, got {self.beta}")
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -494,7 +493,8 @@ class ReferenceDistribution:
     def cdf(self, x):
         xa = np.asarray(x, dtype=float)
         if self.name == "gaussian":
-            out = _sspecial.ndtr(xa)
+            from scipy.special import ndtr  # deferred: the rate path never needs scipy
+            out = ndtr(xa)
         elif self.name == "laplace":
             out = np.where(xa < 0, 0.5 * np.exp(xa), 1.0 - 0.5 * np.exp(-xa))
         elif self.name == "uniform":
@@ -508,7 +508,8 @@ class ReferenceDistribution:
     def inverse_cdf(self, u):
         ua = np.asarray(u, dtype=float)
         if self.name == "gaussian":
-            out = _sspecial.ndtri(ua)  # rational-approximation inverse normal cdf
+            from scipy.special import ndtri  # rational-approximation inverse normal cdf
+            out = ndtri(ua)
         elif self.name == "laplace":
             out = np.where(ua < 0.5, np.log(2.0 * ua), -np.log(2.0 * (1.0 - ua)))
         elif self.name == "uniform":

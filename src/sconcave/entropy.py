@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .concave_fn import PiecewiseConcave, sample_random
 from .density import (EnvelopeFn, TransformedDensity, _piecewise_gl, envelope_for_class,
@@ -274,6 +273,7 @@ def _min_of_lines(lines: Sequence[Tuple[float, float]], a: float, b: float):
 def _count_line_families(k_max: int, n_slope: int, n_intercept: int) -> float:
     """ln of the number of line families: up to k_max distinct decreasing
     slopes from an n_slope menu, each with one of n_intercept intercepts."""
+    from scipy.special import gammaln, logsumexp  # deferred: only counts need it
 
     def term(j: float) -> float:
         return (gammaln(n_slope + 1.0) - gammaln(j + 1.0)
@@ -537,7 +537,7 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
     else:
         bands = [(-shift, -1.0)]
         const_out = 0.0
-    levels = []  # (y_lo, y_hi, bracket budget, grid step, last grid index, sub-covers)
+    levels = []  # (y_lo, y_hi, budget, plateau h(y_hi), grid step, last index, sub-covers)
     log_card = 0.0
     for y_lo, y_hi in bands:
         budget = eps_sc * abs(y_hi) ** ((alpha + 1.0) * ZETA) * width ** (1.0 / r)
@@ -545,20 +545,23 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
         full = cover_bounded_concave(b1, b2, 0.5 * (y_hi - y_lo), budget, r,
                                      _allow_shrink=True)
         log_card += 2.0 * math.log(n_pts + 2) + full.log_cardinality
-        levels.append((y_lo, y_hi, budget, width / (n_pts - 1), n_pts - 1, {}))
+        levels.append((y_lo, y_hi, budget, t.eval(y_hi + shift), width / (n_pts - 1),
+                       n_pts - 1, {}))
 
     def locate(member) -> Bracket:
         # member: object with .phi (PiecewiseConcave) in original phi-space,
         # or a PiecewiseConcave directly, or None for the zero function
         phi = getattr(member, "phi", member)
-        phi_hat = None if phi is None else PiecewiseConcave(phi.knots, phi.values - shift)
+        if phi is None:
+            return Bracket([BracketPiece(b1, b2, ("const", 0.0), ("const", const_out))])
+        phi_hat = PiecewiseConcave(phi.knots, phi.values - shift)
         pieces: List[BracketPiece] = []
         covered = None
-        for y_lo, y_hi, budget, step, last, cache in levels:
+        for y_lo, y_hi, budget, plateau, step, last, cache in levels:
             def point(l):
                 return b2 if l == last else b1 + l * step
 
-            region = phi_hat.superlevel_set(y_lo) if phi_hat is not None else None
+            region = phi_hat.superlevel_set(y_lo)
             has_pair = False
             i_u = None
             if region is not None:
@@ -586,7 +589,6 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
                 # subtract covered and the pair in turn: their hull would hide
                 # a stretch between the inward-rounded pair and covered
                 ring = [q for part in ring for q in _interval_diff(part, (p_lo, p_hi))]
-            plateau = t.eval(y_hi + shift)
             for part_lo, part_hi in ring:
                 pieces.append(BracketPiece(part_lo, part_hi,
                                            ("const", 0.0), ("const", plateau)))

@@ -373,6 +373,35 @@ def _drop_flat_kink(active: _ActiveSet, u: np.ndarray, k: int, state: tuple
     return reduced, np.delete(u, k), (val, g, d, e)
 
 
+def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, b: np.ndarray
+                       ) -> Optional[np.ndarray]:
+    """Solve A x = b for the symmetric tridiagonal A with diagonal d, off-diagonal e.
+
+    An O(m) L D L^T factorization in LAPACK ``ptsv``'s operation order, so
+    the result matches ``scipy.linalg.solveh_banded`` bit for bit.  Returns
+    None when A is not positive definite; raises ValueError on a non-finite
+    input.
+    """
+    if not all(np.all(np.isfinite(a)) for a in (d, e, b)):
+        raise ValueError("array must not contain infs or NaNs")
+    d, e, x = d.tolist(), e.tolist(), b.tolist()
+    m = len(d)
+    for i in range(m - 1):
+        if not d[i] > 0:
+            return None
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    if not d[m - 1] > 0:
+        return None
+    for i in range(1, m):
+        x[i] = x[i] - x[i - 1] * e[i - 1]
+    x[m - 1] = x[m - 1] / d[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return np.asarray(x)
+
+
 def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                     inner_tol: float, budget: int) -> Tuple[_ActiveSet, np.ndarray, int]:
     """Maximize the objective over the current kink set in at most ``budget`` evaluations.
@@ -389,8 +418,6 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
     resolution of the objective, the step counts as improving when it shrinks
     the gradient.
     """
-    from scipy.linalg import LinAlgError, solveh_banded
-
     evals = 0
     stale = True
     damping = 1e-10
@@ -408,13 +435,9 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
         du = None
         trial = damping
         for _ in range(8):
-            band = np.vstack((np.concatenate(([0.0], -off)), trial * scale_h - diag))
-            try:
-                cand = solveh_banded(band, grad)
-            except LinAlgError:
-                trial *= 100.0
-                continue
-            if np.all(np.isfinite(cand)) and float(np.dot(cand, grad)) > 0:
+            cand = _solve_tridiagonal(trial * scale_h - diag, -off, grad)
+            if (cand is not None and np.all(np.isfinite(cand))
+                    and float(np.dot(cand, grad)) > 0):
                 du, damping = cand, max(trial * 0.3, 1e-10)
                 break
             trial *= 100.0

@@ -38,6 +38,13 @@ class TestSample:
                                  "--n", "5", "--seed", "1"])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_nonfinite_beta(self, runner, beta):
+        r = runner.invoke(main, ["sample", "--dist", "pareto", "--beta", beta,
+                                 "--n", "5", "--seed", "1"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output and "Traceback" not in r.output
+
 
 class TestFit:
     def test_two_points(self, runner, tmp_path):
@@ -264,3 +271,17 @@ class TestEnvelopeCheck:
         assert r.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["all_dominated"] is True and doc["members_checked"] == 25
+
+    @pytest.mark.parametrize("s_value", ["nan", "inf"])
+    def test_nonfinite_s(self, runner, s_value):
+        r = runner.invoke(main, ["envelope-check", "--s", s_value, "--M", "5",
+                                 "--seed", "2"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output and "Traceback" not in r.output
+
+    @pytest.mark.parametrize("members", ["0", "-1"])
+    def test_no_members_is_an_error(self, runner, members):
+        r = runner.invoke(main, ["envelope-check", "--s", "-0.5", "--M", "5",
+                                 "--members", members, "--seed", "2"])
+        assert r.exit_code == 1
+        assert "Error:" in r.output and "Traceback" not in r.output

@@ -342,6 +342,57 @@ class TestKinkSpaceKernel:
         assert active.lam[-1] == 1.0
 
 
+class TestTridiagonalSolve:
+    """_solve_tridiagonal against scipy.linalg.solveh_banded, bit for bit."""
+
+    @staticmethod
+    def _systems(seed, count=400):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            m = int(rng.integers(2, 61))
+            mag = lambda size: 10.0 ** rng.uniform(-8, 8, size=size)  # noqa: E731
+            e = mag(m - 1) * rng.choice([-1.0, 1.0], size=m - 1)
+            d = mag(m)
+            if rng.random() < 0.5:  # diagonally dominant: positive definite
+                d += np.abs(np.concatenate(([0.0], e))) + np.abs(np.concatenate((e, [0.0])))
+            b = mag(m) * rng.choice([-1.0, 1.0], size=m)
+            yield d, e, b
+
+    def test_matches_solveh_banded(self):
+        from scipy.linalg import LinAlgError, solveh_banded
+        from sconcave.mle import _solve_tridiagonal
+        solved = rejected = 0
+        for d, e, b in self._systems(20261020):
+            got = _solve_tridiagonal(d, e, b)
+            try:
+                want = solveh_banded(np.vstack((np.concatenate(([0.0], e)), d)), b)
+            except LinAlgError:
+                assert got is None
+                rejected += 1
+                continue
+            assert got is not None and np.array_equal(got, want, equal_nan=True)
+            solved += 1
+        assert solved > 100 and rejected > 20  # both outcomes are exercised
+
+    def test_leaves_inputs_unchanged(self):
+        from sconcave.mle import _solve_tridiagonal
+        d, e, b = np.array([4.0, 5.0, 6.0]), np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
+        copies = d.copy(), e.copy(), b.copy()
+        _solve_tridiagonal(d, e, b)
+        for arr, copy in zip((d, e, b), copies):
+            np.testing.assert_array_equal(arr, copy)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["d", "e", "b"])
+    def test_nonfinite_input_raises(self, bad, where):
+        from sconcave.mle import _solve_tridiagonal
+        args = {"d": np.array([4.0, 5.0, 6.0]), "e": np.array([1.0, -2.0]),
+                "b": np.array([1.0, 2.0, 3.0])}
+        args[where][1] = bad
+        with pytest.raises(ValueError):
+            _solve_tridiagonal(args["d"], args["e"], args["b"])
+
+
 class TestSecondDerivativeKernels:
     """E'' and g'' against quadrature on both sides of their series switches."""
 

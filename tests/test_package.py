@@ -1,5 +1,7 @@
 """The public namespace: every exported name resolves, a star import works, and
-importing the package loads no quadrature module."""
+a cold start loads no scipy module: importing the package and its CLI, then
+running Laplace and Pareto rate studies, needs neither quadrature, special
+functions nor linear algebra from scipy."""
 
 import os
 import subprocess
@@ -19,11 +21,25 @@ def test_star_import():
     assert set(sconcave.__all__) <= set(namespace)
 
 
-def test_import_leaves_out_scipy_integrate():
-    # quadrature is a test oracle only; importing the package must not pay for it
+_COLD_START = """
+import sys
+import sconcave, sconcave.cli
+from sconcave.rate_harness import RateStudyConfig, run_rate_study
+run_rate_study(RateStudyConfig(
+    true_density="laplace", s=0.0, n_grid=(50, 100, 200), replications=1, seed=5,
+    metrics=("hellinger", "l1", "loglr", "sup_compact")))
+run_rate_study(RateStudyConfig(
+    true_density="pareto", s=-0.5, n_grid=(50, 100, 200), replications=1, seed=5,
+    metrics=("hellinger",)))
+print(sorted(m for m in ("scipy.special", "scipy.linalg", "scipy.integrate")
+             if m in sys.modules))
+"""
+
+
+def test_cold_start_leaves_out_scipy():
+    # the MLE and the rate studies stand on numpy alone; scipy loads only for
+    # the Gaussian reference's cdf, the entropy counts and the test oracles
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sconcave, sys; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _COLD_START],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
