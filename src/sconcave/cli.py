@@ -229,7 +229,22 @@ def cmd_entropy_study(config_file, out, seed):
                              row["log_cardinality"], f"{row['max_size']:.8g}",
                              f"{row['size_bound']:.8g}", f"{row['size_slack']:.8g}",
                              row["covered_fraction"]])
-    _write_json({"fitted_exponent": curve.exponent, "rows": rows}, f"{out}.json")
+    _write_json({"fitted_exponent": curve.exponent, "local_exponents": _local_exponents(rows),
+                 "rows": rows}, f"{out}.json")
+
+
+def _local_exponents(rows) -> list:
+    """Slope of log(log_cardinality) against log(1/eps) from each row's
+    predecessor; None for the first row and where a count is not positive."""
+    out = [None]
+    for prev, row in zip(rows, rows[1:]):
+        n0, n1 = prev["log_cardinality"], row["log_cardinality"]
+        if n0 > 0 and n1 > 0 and prev["eps"] != row["eps"]:
+            out.append((math.log(n1) - math.log(n0))
+                       / (math.log(1.0 / row["eps"]) - math.log(1.0 / prev["eps"])))
+        else:
+            out.append(None)
+    return out
 
 
 def _descriptor_from_config(raw: dict):

@@ -99,70 +99,16 @@ class PiecewiseConcave:
 
     def restrict_domain(self, interval: Tuple[float, float]) -> "PiecewiseConcave":
         """Restrict to an interval; value interpolated at the clipped endpoints."""
-        lo, hi = float(interval[0]), float(interval[1])
-        if lo > hi:
-            raise DomainError("interval endpoints out of order")
-        a = max(lo, float(self.knots[0]))
-        b = min(hi, float(self.knots[-1]))
-        if a > b:
-            raise DomainError("interval does not meet the effective domain")
-        if a == b:
-            return PiecewiseConcave(np.asarray([a]), np.asarray([self.eval(a)]))
-        inner = (self.knots > a) & (self.knots < b)
-        xs = np.concatenate(([a], self.knots[inner], [b]))
-        vs = np.concatenate(([self.eval(a)], self.values[inner], [self.eval(b)]))
-        return PiecewiseConcave(xs, vs)
+        return PiecewiseConcave(*_restricted(self.knots, self.values, *interval))
 
     def superlevel_set(self, y: float) -> Optional[Tuple[float, float]]:
         """The interval {x : phi(x) >= y}; None when empty."""
-        v = self.values
-        if y > float(np.max(v)):
-            return None
-        k = self.knots
-        if self.knots.size == 1:
-            return (float(k[0]), float(k[0]))
-        above = v >= y
-        i_first = int(np.argmax(above))
-        i_last = int(len(v) - 1 - np.argmax(above[::-1]))
-        if i_first == 0:
-            left = float(k[0])
-        else:
-            # crossing on segment (i_first-1, i_first)
-            x0, x1 = k[i_first - 1], k[i_first]
-            v0, v1 = v[i_first - 1], v[i_first]
-            left = float(x0 + (y - v0) / (v1 - v0) * (x1 - x0))
-        if i_last == len(v) - 1:
-            right = float(k[-1])
-        else:
-            x0, x1 = k[i_last], k[i_last + 1]
-            v0, v1 = v[i_last], v[i_last + 1]
-            right = float(x0 + (y - v0) / (v1 - v0) * (x1 - x0))
-        return (left, right)
+        return _superlevel_set(self.knots, self.values, y)
 
     def clip_above(self, y_hi: float) -> "PiecewiseConcave":
         """Pointwise min(phi, y_hi), with knots inserted at the crossings."""
-        if not math.isfinite(y_hi):
-            return self
-        if float(np.max(self.values)) <= y_hi:
-            return self
-        plateau = self.superlevel_set(y_hi)
-        xs = [float(self.knots[0])]
-        vs = [min(float(self.values[0]), y_hi)]
-        for x, v in zip(self.knots[1:], self.values[1:]):
-            x, v = float(x), float(v)
-            for cx in plateau:
-                if xs[-1] < cx < x:
-                    xs.append(cx)
-                    vs.append(y_hi)
-            xs.append(x)
-            vs.append(min(v, y_hi))
-        # drop duplicates produced when a crossing coincides with a knot
-        keep_x, keep_v = [xs[0]], [vs[0]]
-        for x, v in zip(xs[1:], vs[1:]):
-            if x > keep_x[-1]:
-                keep_x.append(x)
-                keep_v.append(v)
-        return PiecewiseConcave(np.asarray(keep_x), np.asarray(keep_v))
+        knots, values = _clipped_above(self.knots, self.values, y_hi)
+        return self if knots is self.knots else PiecewiseConcave(knots, values)
 
     def restrict_range(self, y_lo: float, y_hi: float = math.inf) -> "PiecewiseConcave":
         """Restrict the domain to {phi >= y_lo} and clip values above at y_hi."""
@@ -179,6 +125,64 @@ class PiecewiseConcave:
     @staticmethod
     def from_dict(d: dict) -> "PiecewiseConcave":
         return PiecewiseConcave(np.asarray(d["knots"]), np.asarray(d["values"]))
+
+
+def _restricted(knots: np.ndarray, values: np.ndarray, lo: float, hi: float):
+    """Knots and values of the restriction to [lo, hi], ends interpolated."""
+    lo, hi = float(lo), float(hi)
+    if lo > hi:
+        raise DomainError("interval endpoints out of order")
+    a = max(lo, float(knots[0]))
+    b = min(hi, float(knots[-1]))
+    if a > b:
+        raise DomainError("interval does not meet the effective domain")
+    va, vb = np.interp((a, b), knots, values)
+    if a == b:
+        return np.asarray([a]), np.asarray([va])
+    i = np.searchsorted(knots, a, side="right")
+    j = np.searchsorted(knots, b, side="left")
+    return (np.concatenate(([a], knots[i:j], [b])),
+            np.concatenate(([va], values[i:j], [vb])))
+
+
+def _superlevel_set(knots: np.ndarray, values: np.ndarray,
+                    y: float) -> Optional[Tuple[float, float]]:
+    """The interval where the piecewise-linear (knots, values) is >= y, or None."""
+    v, k = values, knots
+    if y > float(np.max(v)):
+        return None
+    if k.size == 1:
+        return (float(k[0]), float(k[0]))
+    above = v >= y
+    i_first = int(np.argmax(above))
+    i_last = int(len(v) - 1 - np.argmax(above[::-1]))
+    if i_first == 0:
+        left = float(k[0])
+    else:
+        # crossing on segment (i_first-1, i_first)
+        x0, x1 = k[i_first - 1], k[i_first]
+        v0, v1 = v[i_first - 1], v[i_first]
+        left = float(x0 + (y - v0) / (v1 - v0) * (x1 - x0))
+    if i_last == len(v) - 1:
+        right = float(k[-1])
+    else:
+        x0, x1 = k[i_last], k[i_last + 1]
+        v0, v1 = v[i_last], v[i_last + 1]
+        right = float(x0 + (y - v0) / (v1 - v0) * (x1 - x0))
+    return (left, right)
+
+
+def _clipped_above(knots: np.ndarray, values: np.ndarray, y_hi: float):
+    """Knots and values of min(phi, y_hi), with knots inserted at the crossings
+    strictly between existing knots; the inputs themselves when nothing clips."""
+    if not math.isfinite(y_hi) or float(np.max(values)) <= y_hi:
+        return knots, values
+    cuts = np.unique(_superlevel_set(knots, values, y_hi))
+    cuts = cuts[(cuts > knots[0]) & (cuts < knots[-1])]
+    at = np.searchsorted(knots, cuts)
+    new = knots[at] != cuts
+    cuts, at = cuts[new], at[new]
+    return np.insert(knots, at, cuts), np.insert(np.minimum(values, y_hi), at, y_hi)
 
 
 def sample_random(b1: float, b2: float, B: float, n_knots: int,

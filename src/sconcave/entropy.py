@@ -18,25 +18,31 @@ Four nested constructions:
 
 Bracket families are combinatorially large, so a BracketSet is stored lazily:
 its exact log-cardinality comes from the generator parameter space, and
-``locate`` materializes the single bracket containing a given member.
+``locate`` materializes the single bracket containing a given member.  A
+level of a transformed cover whose pair lies in the hull the levels above
+it already cover contributes no piece, so its sub-cover is neither built
+nor located.
 
 Verification is exact.  Each bracket side is a constant, a piecewise-linear
 function, h of a clipped one, or the class envelope, so between a piece's
 breakpoints, the member's knots and its crossings of h's zero point, both
 sides and h^-1 of the member are linear; h is increasing, so a member that
 sits between the sides at those points sits between them everywhere.  L_r
-sizes integrate by Gauss-Legendre panels between the same breakpoints.
+sizes integrate by Gauss-Legendre panels between the same breakpoints.  A
+bracket forms its pieces' breakpoints once, for both checks; constant sides
+are filled in bulk, and only the other sides are evaluated piece by piece.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .concave_fn import PiecewiseConcave, sample_random
+from .concave_fn import PiecewiseConcave, _clipped_above, _restricted, sample_random
 from .density import (EnvelopeFn, TransformedDensity, _piecewise_gl, envelope_for_class,
                       member_of_class)
 from .transforms import Transform
@@ -126,24 +132,34 @@ class BracketPiece:
     upper: tuple
     exact_size_r: Optional[float] = None  # closed-form integral of (u - l)^r
 
-    def breakpoints(self) -> np.ndarray:
-        """The ends, the sides' knots inside the piece and their clip crossings.
+    def inner_breakpoints(self) -> List[np.ndarray]:
+        """The sides' knots in [a, b] and their clip crossings (none for
+        constant and envelope sides).
 
-        Between consecutive breakpoints each side is h of a function linear in
-        x (h the identity for phi-space sides).  The envelope side sits beyond
-        its cutoff, where for the power family (s < 0) it is h of a linear one.
+        With the ends these are the piece's breakpoints: between consecutive
+        ones each side is h of a function linear in x (h the identity for
+        phi-space sides).  The envelope side sits beyond its cutoff, where for
+        the power family (s < 0) it is h of a linear one.
         """
-        pts = [np.array([self.a, self.b])]
+        pts = []
         for spec in (self.lower, self.upper):
             if spec[0] == "pl":
                 pts.append(spec[1])
             elif spec[0] == "hpl_clip":
                 _, _, xs, vs, y_lo, y_hi = spec
                 pts += [xs, _crossings(xs, vs, y_lo), _crossings(xs, vs, y_hi)]
-        if len(pts) == 1:
-            return pts[0]
-        x = np.unique(np.concatenate(pts))
-        return x[(x >= self.a) & (x <= self.b)]
+        if not pts:
+            return []
+        x = np.concatenate(pts)
+        return [x[(x >= self.a) & (x <= self.b)]]
+
+
+def _union_breakpoints(pieces: Sequence[BracketPiece], *more: np.ndarray) -> np.ndarray:
+    """The sorted union of the pieces' breakpoints and the points in more."""
+    pts = [np.array([p.a for p in pieces] + [p.b for p in pieces]), *more]
+    for p in pieces:
+        pts += p.inner_breakpoints()
+    return np.unique(np.concatenate(pts))
 
 
 def _sides_on(pieces: Sequence[BracketPiece], x: np.ndarray):
@@ -151,15 +167,24 @@ def _sides_on(pieces: Sequence[BracketPiece], x: np.ndarray):
 
     Returns (idx, low, up, starts, stops): x[starts[k]:stops[k]] are the points
     of pieces[k] in [a, b]; idx, low and up run through these slices in turn.
+    Constant sides fill in one repeat; the others are evaluated on their slice.
     """
     a = np.array([p.a for p in pieces])
     b = np.array([p.b for p in pieces])
     starts, stops = np.searchsorted(x, a), np.searchsorted(x, b, side="right")
     counts = stops - starts
-    idx = np.arange(counts.sum()) + np.repeat(starts + counts - np.cumsum(counts), counts)
-    low = np.concatenate([_eval_spec(p.lower, x[i:j]) for p, i, j in zip(pieces, starts, stops)])
-    up = np.concatenate([_eval_spec(p.upper, x[i:j]) for p, i, j in zip(pieces, starts, stops)])
-    return idx, low, up, starts, stops
+    offsets = np.cumsum(counts) - counts
+    idx = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    sides = []
+    for side in ("lower", "upper"):
+        specs = [getattr(p, side) for p in pieces]
+        vals = np.repeat(np.array([sp[1] if sp[0] == "const" else math.nan
+                                   for sp in specs], dtype=float), counts)
+        for sp, i, j, o in zip(specs, starts, stops, offsets):
+            if sp[0] != "const" and j > i:
+                vals[o:o + j - i] = _eval_spec(sp, x[i:j])
+        sides.append(vals)
+    return idx, sides[0], sides[1], starts, stops
 
 
 @dataclass
@@ -172,6 +197,14 @@ class Bracket:
     def support(self) -> Tuple[float, float]:
         return self.pieces[0].a, self.pieces[-1].b
 
+    @cached_property
+    def _breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted breakpoints of all pieces, and of the pieces without a
+        closed-form size: each piece's are formed once, for both checks."""
+        rest = _union_breakpoints([p for p in self.pieces if p.exact_size_r is None])
+        exact = [p for p in self.pieces if p.exact_size_r is not None]
+        return _union_breakpoints(exact, rest), rest
+
     def size_lr(self, r: float) -> float:
         """L_r size of the bracket: closed forms where pieces carry them,
         Gauss-Legendre panels between the other pieces' breakpoints."""
@@ -181,7 +214,7 @@ class Bracket:
             idx, low, up, _, _ = _sides_on(rest, x)
             return np.bincount(idx, np.abs(up - low) ** r, minlength=x.size)
 
-        total = _piecewise_gl(gap_r, np.unique(np.concatenate([p.breakpoints() for p in rest])))
+        total = _piecewise_gl(gap_r, self._breakpoints[1])
         total += sum(p.exact_size_r for p in self.pieces if p.exact_size_r is not None)
         return total ** (1.0 / r)
 
@@ -213,8 +246,8 @@ class BracketSet:
 
 def _greedy_contacts(phi: PiecewiseConcave, a: float, b: float, tau: float):
     """Contact points with (run) x (slope drop) <= 4*tau between neighbours."""
-    seg = phi.restrict_domain((a, b))
-    knots, values, slopes = seg.knots, seg.values, seg.slopes
+    knots, values = _restricted(phi.knots, phi.values, a, b)
+    slopes = np.diff(values) / np.diff(knots)
     if knots.size == 1 or slopes.size == 0:
         return [(float(knots[0]), float(values[0]), 0.0)]
     contacts = []
@@ -223,9 +256,10 @@ def _greedy_contacts(phi: PiecewiseConcave, a: float, b: float, tau: float):
     pos_slope = float(slopes[0])
     contacts.append((pos, pos_val, pos_slope))
     budget = 4.0 * tau
+    first = 0  # segments before the last contact's lie left of pos
     while pos < b - 1e-15:
         nxt = None
-        for k in range(slopes.size):
+        for k in range(first, slopes.size):
             if knots[k + 1] <= pos + 1e-15:
                 continue
             s_seg = float(slopes[k])
@@ -235,6 +269,7 @@ def _greedy_contacts(phi: PiecewiseConcave, a: float, b: float, tau: float):
             x_star = pos + budget / drop
             if x_star < knots[k + 1] - 1e-15:
                 nxt = max(x_star, float(knots[k]), pos)
+                first = k
                 break
         if nxt is None or nxt >= b:
             break
@@ -258,14 +293,11 @@ def _min_of_lines(lines: Sequence[Tuple[float, float]], a: float, b: float):
     """
     arr = np.asarray(sorted(set(lines)), dtype=float).reshape(-1, 2)
     s, c = arr[:, 0], arr[:, 1]
-    pts = [a, b]
-    for i in range(s.size - 1):
-        ds = s[i] - s[i + 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = a + (c[i + 1:] - c[i]) / ds
-        good = np.isfinite(xi) & (xi > a) & (xi < b)
-        pts.extend(xi[good].tolist())
-    knots = np.unique(np.asarray(pts, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # symmetric in the pair, bit for bit; nan on the diagonal
+        xi = a + (c[None, :] - c[:, None]) / (s[:, None] - s[None, :])
+    good = np.isfinite(xi) & (xi > a) & (xi < b)
+    knots = np.unique(np.concatenate(([a, b], xi[good])))
     vals = np.min(c[:, None] + s[:, None] * (knots[None, :] - a), axis=0)
     return knots, vals
 
@@ -571,16 +603,19 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
                 l1 = math.ceil(d_lo - 1e-12)
                 l2 = math.floor(d_hi + 1e-12)
                 has_pair = l1 < l2
+            parts = []  # the pair's parts outside the covered hull
             if has_pair:
                 p_lo, p_hi = point(l1), point(l2)
+                parts = _interval_diff((p_lo, p_hi), covered)
+            if parts:  # locate only where pieces survive
                 if (l1, l2) not in cache:
                     cache[l1, l2] = cover_bounded_concave(
                         p_lo, p_hi, 0.5 * (y_hi - y_lo), budget, r, _allow_shrink=True)
                 center = 0.5 * (y_lo + y_hi)
-                clipped = phi_hat.restrict_domain((p_lo, p_hi)).clip_above(y_hi)
-                shifted = PiecewiseConcave(clipped.knots, clipped.values - center)
-                sub_bracket = cache[l1, l2].locate(shifted)
-                for part_lo, part_hi in _interval_diff((p_lo, p_hi), covered):
+                knots, values = _clipped_above(
+                    *_restricted(phi_hat.knots, phi_hat.values, p_lo, p_hi), y_hi)
+                sub_bracket = cache[l1, l2].locate(PiecewiseConcave(knots, values - center))
+                for part_lo, part_hi in parts:
                     for piece in _clip_pieces_to(sub_bracket.pieces, part_lo, part_hi):
                         pieces.append(_phi_piece_to_f(
                             piece, t, center + shift, y_lo + shift, y_hi + shift))
@@ -723,7 +758,7 @@ def _covers(bracket: Bracket, member) -> bool:
     t = getattr(member, "transform", None)
     s_lo, s_hi = phi.domain
     cuts = [] if t is None else [_crossings(phi.knots, phi.values, t.y0_tilde)]
-    x = np.unique(np.concatenate([p.breakpoints() for p in bracket.pieces] + [phi.knots] + cuts))
+    x = np.unique(np.concatenate([bracket._breakpoints[0], phi.knots] + cuts))
     # one-sided limits of the member at x; nan where unconstrained
     v, off = (phi.eval(x), math.nan) if t is None else (t._eval_array(phi.eval(x)), 0.0)
     left = np.where((x > s_lo) & (x <= s_hi), v, off)

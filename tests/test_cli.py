@@ -213,6 +213,23 @@ class TestEntropyStudy:
             assert row["size_slack"] == pytest.approx(row["max_size"] / row["eps"], rel=1e-15)
             assert 0.0 < row["size_slack"] <= 1.0
 
+    def test_local_exponents(self, runner, tmp_path):
+        # the slope between consecutive eps falls toward 1/2 with a log factor
+        cfg = {"version": 1, "class": "bounded_concave",
+               "params": {"b1": 0.0, "b2": 1.0, "B": 1.0},
+               "eps_grid": [0.2, 0.1, 0.05, 0.025], "r": 1.0, "members": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["entropy-study", str(cfg_path), "--seed", "5",
+                                 "--out", str(tmp_path / "ent")])
+        assert r.exit_code == 0, r.output
+        local = json.loads((tmp_path / "ent.json").read_text())["local_exponents"]
+        assert len(local) == 4 and local[0] is None
+        for e in local[1:]:
+            assert math.isfinite(e) and 0.45 <= e <= 0.65
+        header = (tmp_path / "ent.csv").read_text().splitlines()[0]
+        assert "local" not in header
+
     def test_eps_above_threshold_is_an_error(self, runner, tmp_path):
         cfg = {"version": 1, "class": "bounded_concave",
                "params": {"b1": 0.0, "b2": 1.0, "B": 1.0},

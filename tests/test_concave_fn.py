@@ -164,6 +164,57 @@ class TestOperationOutputsConcave:
             assert np.all(np.diff(slopes) <= 1e-12 * max(1.0, np.max(np.abs(slopes))))
 
 
+def _restrict_loop(phi, lo, hi):
+    """Reference: the masked restriction with ends from two ``eval`` calls."""
+    a, b = max(lo, float(phi.knots[0])), min(hi, float(phi.knots[-1]))
+    inner = (phi.knots > a) & (phi.knots < b)
+    return (np.concatenate(([a], phi.knots[inner], [b])),
+            np.concatenate(([phi.eval(a)], phi.values[inner], [phi.eval(b)])))
+
+
+def _clip_loop(phi, y_hi):
+    """Reference: the knot-by-knot clip, crossings inserted between knots."""
+    plateau = phi.superlevel_set(y_hi)
+    xs, vs = [float(phi.knots[0])], [min(float(phi.values[0]), y_hi)]
+    for x, v in zip(phi.knots[1:].tolist(), phi.values[1:].tolist()):
+        for cx in plateau:
+            if xs[-1] < cx < x:
+                xs.append(cx)
+                vs.append(y_hi)
+        xs.append(x)
+        vs.append(min(v, y_hi))
+    keep = [0] + [i for i in range(1, len(xs)) if xs[i] > xs[i - 1]]
+    return np.asarray(xs)[keep], np.asarray(vs)[keep]
+
+
+class TestArrayFormsMatchLoops:
+    @given(seed=st.integers(0, 3000), lo=st.floats(-0.2, 0.99), width=st.floats(1e-9, 1.4))
+    @settings(max_examples=150, deadline=None)
+    def test_restrict_domain(self, seed, lo, width):
+        phi = sample_random(0.0, 1.0, 1.0, 9, seed)
+        lo = float(phi.knots[2]) if seed % 5 == 0 else lo  # an end on a knot
+        hi = max(lo, 0.0) + width
+        res = phi.restrict_domain((lo, hi))
+        xs, vs = _restrict_loop(phi, lo, hi)
+        np.testing.assert_array_equal(res.knots, xs)
+        np.testing.assert_array_equal(res.values, vs)
+
+    @given(seed=st.integers(0, 3000), frac=st.floats(0.0, 1.0), on_knot=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_clip_above(self, seed, frac, on_knot):
+        phi = sample_random(0.0, 1.0, 1.0, 9, seed)
+        low, top = float(phi.values.min()), phi.max_value()
+        y = (float(phi.values[int(frac * (phi.knots.size - 1))]) if on_knot
+             else low + frac * (top - low))
+        res = phi.clip_above(y)
+        if y >= top:
+            assert res is phi
+            return
+        xs, vs = _clip_loop(phi, y)
+        np.testing.assert_array_equal(res.knots, xs)
+        np.testing.assert_array_equal(res.values, vs)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         phi = tent()

@@ -1,5 +1,6 @@
 """Bracketing covers: validity, size law, exponent law, and tail behavior."""
 
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sconcave import entropy
 from sconcave.concave_fn import PiecewiseConcave
 from sconcave.density import TransformedDensity, member_of_class
 from sconcave.entropy import (BoundedConcaveClass, Bracket, BracketPiece, BracketSet,
@@ -15,7 +17,7 @@ from sconcave.entropy import (BoundedConcaveClass, Bracket, BracketPiece, Bracke
                               cover_bounded_concave, cover_lipschitz_concave,
                               cover_tail_class, cover_transformed, entropy_curve,
                               sample_density_class_members, sample_members,
-                              verify_bracketing)
+                              _covers, verify_bracketing)
 from sconcave.transforms import Transform
 
 
@@ -71,6 +73,28 @@ class TestLipschitzCover:
             piece = bracket.pieces[0]
             assert (piece.lower, piece.upper) == (("const", -1.0), ("const", 1.0))
         assert bset.log_cardinality == 0.0
+
+
+    def test_envelope_knots_match_the_pairwise_loop(self):
+        # reference: the row-by-row intersection loop, with ties and parallels
+        inner = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            lines = [(float(rng.integers(-4, 5)) / 4, float(rng.integers(-8, 9)) / 8)
+                     for _ in range(int(rng.integers(1, 15)))]
+            arr = np.asarray(sorted(set(lines)), dtype=float).reshape(-1, 2)
+            s, c = arr[:, 0], arr[:, 1]
+            pts = [0.25, 1.5]
+            for i in range(s.size - 1):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xi = 0.25 + (c[i + 1:] - c[i]) / (s[i] - s[i + 1:])
+                pts.extend(xi[np.isfinite(xi) & (xi > 0.25) & (xi < 1.5)].tolist())
+            knots, vals = entropy._min_of_lines(lines, 0.25, 1.5)
+            np.testing.assert_array_equal(knots, np.unique(np.asarray(pts)))
+            np.testing.assert_array_equal(
+                vals, np.min(c[:, None] + s[:, None] * (knots - 0.25), axis=0))
+            inner += knots.size > 2
+        assert inner >= 20
 
 
 class TestBoundedConcaveCover:
@@ -206,6 +230,41 @@ class TestTailClassCover:
             assert rep.covered_fraction == 1.0
             assert rep.max_observed_size <= bset.size_bound
 
+    @pytest.mark.parametrize("s, M", [(-1.0, 4.0), (-0.5, 3.0), (0.0, 4.0)])
+    def test_classes_holding_many_densities(self, s, M):
+        # at M = 2 the class is the uniform density alone; these sample
+        # non-uniform members of different supports by rejection
+        descriptor = TailClass(Transform.power(s), M)
+        members = sample_members(descriptor, 30, 12)
+        assert len({m.support for m in members}) > 1
+        for eps in (0.12, 0.03, 1e-3):
+            bset = build_cover(descriptor, eps, 2.0)
+            rep = verify_bracketing(bset, members)
+            assert rep.covered_fraction == 1.0
+            assert rep.max_observed_size <= bset.size_bound
+
+    def test_locates_only_levels_that_keep_pieces(self, monkeypatch):
+        # a flat M = 2 member has the same superlevel set at every level, so
+        # the pairs of the deeper levels lie in the hull the first one covers
+        # and their sub-covers need no locate
+        build, calls = entropy.cover_bounded_concave, []
+
+        def counted(*args, **kwargs):
+            bset = build(*args, **kwargs)
+
+            def locate(member, inner=bset.locate):
+                calls.append(member)
+                return inner(member)
+            return dataclasses.replace(bset, locate=locate)
+
+        monkeypatch.setattr(entropy, "cover_bounded_concave", counted)
+        t = Transform.power(-1.0)
+        bset = cover_tail_class(t, 2.0, 0.015, 2.0)
+        bracket = bset.locate(sample_members(TailClass(t, 2.0), 1, 3)[0])
+        bands = {p.lower[4:] for p in bracket.pieces if p.lower[0] == "hpl_clip"}
+        assert len(bands) == 1
+        assert len(calls) == len(bands)
+
     def test_committed_log_cardinalities(self, bench_fixture):
         # the benchmark's entropy classes and their committed counts; the
         # counts depend on the order in which the intervals' counts are summed
@@ -337,6 +396,25 @@ class TestVerifyBracketing:
         assert verify_bracketing(bset, members).covered_fraction == 1.0
         with pytest.raises(TypeError, match="member 3 "):
             verify_bracketing(bset, members[:3] + [members[3].phi] + members[4:])
+
+    @pytest.mark.parametrize("descriptor, eps, r", [
+        (BoundedConcaveClass(0, 1, 1), 0.05, 1.0),
+        (TransformedCompactClass(Transform.power(-1.0), 0, 1, 1), 0.05, 2.0),
+        (TailClass(Transform.power(-1.0), 2.0), 0.03, 2.0),
+        (TailClass(Transform.power(-1.0), 4.0), 0.03, 2.0)])
+    def test_matches_a_loop_over_covers_and_sizes(self, descriptor, eps, r):
+        # breakpoints formed once per bracket serve both checks unchanged
+        bset = build_cover(descriptor, eps, r)
+        members = sample_members(descriptor, 25, 8)
+        rep = verify_bracketing(bset, members)
+        covered, sizes = 0, []
+        for member in members:
+            bracket = bset.locate(member)
+            covered += _covers(bracket, member)
+            sizes.append(bracket.size_lr(r))
+        assert rep.covered_fraction == covered / len(members)
+        assert rep.max_observed_size == max(sizes)
+        assert rep.worst_member == sizes.index(max(sizes))
 
     def test_reports_worst_member(self):
         bset = cover_bounded_concave(0.0, 1.0, 1.0, 0.1, 1.0)
