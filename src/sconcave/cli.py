@@ -217,7 +217,8 @@ def cmd_entropy_study(config_file, out, seed):
                      "size_slack": rep.max_observed_size / bset.size_bound,
                      "covered_fraction": rep.covered_fraction})
     try:
-        curve = _entropy.entropy_curve(descriptor, eps_grid, r)
+        exponent = _entropy._fitted_exponent([row["eps"] for row in rows],
+                                             [row["log_cardinality"] for row in rows])
     except ValueError as exc:
         raise CliError(str(exc))
     with open(f"{out}.csv", "w", newline="") as fh:
@@ -229,7 +230,7 @@ def cmd_entropy_study(config_file, out, seed):
                              row["log_cardinality"], f"{row['max_size']:.8g}",
                              f"{row['size_bound']:.8g}", f"{row['size_slack']:.8g}",
                              row["covered_fraction"]])
-    _write_json({"fitted_exponent": curve.exponent, "local_exponents": _local_exponents(rows),
+    _write_json({"fitted_exponent": exponent, "local_exponents": _local_exponents(rows),
                  "rows": rows}, f"{out}.json")
 
 

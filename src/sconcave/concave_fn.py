@@ -9,8 +9,8 @@ objects; instances are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class PiecewiseConcave:
 
     knots: np.ndarray
     values: np.ndarray
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
@@ -50,39 +49,17 @@ class PiecewiseConcave:
         dk = knots[1:] - knots[:-1]
         if np.any(dk <= 0):
             raise ValueError("knots must be strictly increasing (merge ties first)")
-        slopes = (values[1:] - values[:-1]) / dk
-        _check_concave(slopes, values, SLOPE_TOL)
+        _check_concave((values[1:] - values[:-1]) / dk, values, SLOPE_TOL)
         knots.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        slopes.flags.writeable = False
-        object.__setattr__(self, "_slopes", slopes)
-
-    @staticmethod
-    def from_points(xs: Sequence[float], vs: Sequence[float]) -> "PiecewiseConcave":
-        """Build from possibly tied points; ties are merged keeping the max value."""
-        xs = np.asarray(xs, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        order = np.argsort(xs, kind="stable")
-        xs, vs = xs[order], vs[order]
-        ux, inverse = np.unique(xs, return_inverse=True)
-        uv = np.full(ux.shape, -np.inf)
-        np.maximum.at(uv, inverse, vs)
-        return PiecewiseConcave(ux, uv)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def domain(self) -> Tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self._slopes
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         """Linear interpolation on the domain, -inf outside (scalar or array)."""
@@ -92,30 +69,11 @@ class PiecewiseConcave:
         out[(xa < self.knots[0]) | (xa > self.knots[-1])] = NEG_INF
         return float(out[0]) if scalar else out
 
-    def max_value(self) -> float:
-        return float(np.max(self.values))
-
     # -- restriction operations -------------------------------------------
 
     def restrict_domain(self, interval: Tuple[float, float]) -> "PiecewiseConcave":
         """Restrict to an interval; value interpolated at the clipped endpoints."""
         return PiecewiseConcave(*_restricted(self.knots, self.values, *interval))
-
-    def superlevel_set(self, y: float) -> Optional[Tuple[float, float]]:
-        """The interval {x : phi(x) >= y}; None when empty."""
-        return _superlevel_set(self.knots, self.values, y)
-
-    def clip_above(self, y_hi: float) -> "PiecewiseConcave":
-        """Pointwise min(phi, y_hi), with knots inserted at the crossings."""
-        knots, values = _clipped_above(self.knots, self.values, y_hi)
-        return self if knots is self.knots else PiecewiseConcave(knots, values)
-
-    def restrict_range(self, y_lo: float, y_hi: float = math.inf) -> "PiecewiseConcave":
-        """Restrict the domain to {phi >= y_lo} and clip values above at y_hi."""
-        region = self.superlevel_set(y_lo)
-        if region is None:
-            raise DomainError(f"superlevel set at {y_lo} is empty")
-        return self.restrict_domain(region).clip_above(y_hi)
 
     # -- serialization -----------------------------------------------------
 

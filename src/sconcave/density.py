@@ -201,9 +201,6 @@ class TransformedDensity:
     def is_normalized(self) -> bool:
         return abs(self.integral - 1.0) <= NORMALIZED_TOL
 
-    def __call__(self, x):
-        return self.pdf(x)
-
     def pdf(self, x):
         scalar = np.isscalar(x) or isinstance(x, float)
         xa = np.asarray([x] if scalar else x, dtype=float)
@@ -488,21 +485,6 @@ class ReferenceDistribution:
         else:
             b = self.beta
             out = 0.5 * (b - 1.0) * np.power(1.0 + np.abs(xa), -b)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def cdf(self, x):
-        xa = np.asarray(x, dtype=float)
-        if self.name == "gaussian":
-            from scipy.special import ndtr  # deferred: the rate path never needs scipy
-            out = ndtr(xa)
-        elif self.name == "laplace":
-            out = np.where(xa < 0, 0.5 * np.exp(xa), 1.0 - 0.5 * np.exp(-xa))
-        elif self.name == "uniform":
-            out = np.clip(xa, 0.0, 1.0)
-        else:
-            b = self.beta
-            half = 0.5 * np.power(1.0 + np.abs(xa), -(b - 1.0))
-            out = np.where(xa < 0, half, 1.0 - half)
         return out if isinstance(x, np.ndarray) else float(out)
 
     def inverse_cdf(self, u):

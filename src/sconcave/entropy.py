@@ -42,7 +42,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .concave_fn import PiecewiseConcave, _clipped_above, _restricted, sample_random
+from .concave_fn import (PiecewiseConcave, _clipped_above, _restricted, _superlevel_set,
+                         sample_random)
 from .density import (EnvelopeFn, TransformedDensity, _piecewise_gl, envelope_for_class,
                       member_of_class)
 from .transforms import Transform
@@ -193,10 +194,6 @@ class Bracket:
 
     pieces: List[BracketPiece]
 
-    @property
-    def support(self) -> Tuple[float, float]:
-        return self.pieces[0].a, self.pieces[-1].b
-
     @cached_property
     def _breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted breakpoints of all pieces, and of the pieces without a
@@ -234,10 +231,6 @@ class BracketSet:
     log_cardinality: float
     size_bound: float
     locate: Callable[[object], Bracket] = field(repr=False)
-
-    @property
-    def count_log10(self) -> float:
-        return self.log_cardinality / math.log(10.0)
 
 
 # ----------------------------------------------------------------------
@@ -586,14 +579,14 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
         phi = getattr(member, "phi", member)
         if phi is None:
             return Bracket([BracketPiece(b1, b2, ("const", 0.0), ("const", const_out))])
-        phi_hat = PiecewiseConcave(phi.knots, phi.values - shift)
+        knots, values = phi.knots, phi.values - shift  # phi shifted down
         pieces: List[BracketPiece] = []
         covered = None
         for y_lo, y_hi, budget, plateau, step, last, cache in levels:
             def point(l):
                 return b2 if l == last else b1 + l * step
 
-            region = phi_hat.superlevel_set(y_lo)
+            region = _superlevel_set(knots, values, y_lo)
             has_pair = False
             i_u = None
             if region is not None:
@@ -612,9 +605,10 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
                     cache[l1, l2] = cover_bounded_concave(
                         p_lo, p_hi, 0.5 * (y_hi - y_lo), budget, r, _allow_shrink=True)
                 center = 0.5 * (y_lo + y_hi)
-                knots, values = _clipped_above(
-                    *_restricted(phi_hat.knots, phi_hat.values, p_lo, p_hi), y_hi)
-                sub_bracket = cache[l1, l2].locate(PiecewiseConcave(knots, values - center))
+                sub_knots, sub_values = _clipped_above(
+                    *_restricted(knots, values, p_lo, p_hi), y_hi)
+                sub_bracket = cache[l1, l2].locate(
+                    PiecewiseConcave(sub_knots, sub_values - center))
                 for part_lo, part_hi in parts:
                     for piece in _clip_pieces_to(sub_bracket.pieces, part_lo, part_hi):
                         pieces.append(_phi_piece_to_f(
@@ -828,31 +822,35 @@ def build_cover(descriptor, eps: float, r: float) -> BracketSet:
     raise TypeError(f"unknown class descriptor {descriptor!r}")
 
 
+def _fitted_exponent(eps: Sequence[float], log_cardinality: Sequence[float]) -> float:
+    """Least-squares slope of log(log N) against log(1/eps) over the rows with a
+    positive count; ValueError when fewer than 3 such rows remain."""
+    eps, logs = np.asarray(eps, dtype=float), np.asarray(log_cardinality, dtype=float)
+    keep = logs > 0
+    if np.count_nonzero(keep) < 3:
+        raise ValueError("fewer than 3 valid eps values; cannot fit an exponent")
+    return float(np.polyfit(np.log(1.0 / eps[keep]), np.log(logs[keep]), 1)[0])
+
+
 def entropy_curve(descriptor, eps_grid: Sequence[float], r: float) -> EntropyCurve:
     """log-cardinality along an eps grid with the fitted entropy exponent.
 
-    The exponent is the least-squares slope of log(log N) against log(1/eps);
-    the constructions should produce values near one half.
+    The exponent is the least-squares slope of log(log N) against log(1/eps)
+    (``_fitted_exponent``); the constructions should produce values near one
+    half.  An eps whose cover cannot be built or counts no bracket is dropped.
     """
     eps_ok, logs = [], []
-    dropped = 0
     for eps in eps_grid:
         try:
             bset = build_cover(descriptor, float(eps), r)
-        except (ThresholdError, HypothesisError, ValueError):
-            dropped += 1
+        except ValueError:  # ThresholdError and HypothesisError among them
             continue
-        if bset.log_cardinality <= 0:
-            dropped += 1
-            continue
-        eps_ok.append(float(eps))
-        logs.append(bset.log_cardinality)
-    if len(eps_ok) < 3:
-        raise ValueError("fewer than 3 valid eps values; cannot fit an exponent")
-    x = np.log(1.0 / np.asarray(eps_ok))
-    y = np.log(np.asarray(logs))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return EntropyCurve(np.asarray(eps_ok), np.asarray(logs), slope, dropped)
+        if bset.log_cardinality > 0:
+            eps_ok.append(float(eps))
+            logs.append(bset.log_cardinality)
+    slope = _fitted_exponent(eps_ok, logs)
+    return EntropyCurve(np.asarray(eps_ok), np.asarray(logs), slope,
+                        len(eps_grid) - len(eps_ok))
 
 
 # ----------------------------------------------------------------------
@@ -962,11 +960,3 @@ class _TransformedMember:
     def __init__(self, transform: Transform, phi: PiecewiseConcave):
         self.transform = transform
         self.phi = phi
-
-    @property
-    def support(self):
-        return self.phi.domain
-
-    def pdf(self, x):
-        # phi is -inf off its domain, where h is 0
-        return self.transform._eval_array(self.phi.eval(np.asarray(x, dtype=float)))

@@ -23,6 +23,7 @@ diverging one-parameter likelihood path that witnesses it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -52,6 +53,8 @@ class FitConfig:
             raise ValueError(f"the MLE requires -1 < s < inf, got s = {self.s}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -152,31 +155,25 @@ def objective(values: Sequence[float], data: Sequence[float], s: float
 
 
 # ----------------------------------------------------------------------
-# Concavity repair and the optimality certificate
+# Final kink set and the optimality certificate
 # ----------------------------------------------------------------------
 
-def _repair_concavity(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Forward pass removing fp-level slope increases between near-coincident kinks.
+def _bent_kinks(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the kinks that bend: both ends and each interior kink where
+    the slope drops.
 
-    The guard exceeds the floating-point resolution of the repaired slope,
-    so the slopes recomputed from the returned values never increase.
+    An interior kink whose slope does not drop (rounding can leave one when
+    the budget stops Newton) is dropped, so phi there becomes the line between
+    its neighbours; the drop repeats until every remaining kink bends.  Kept
+    kinks keep their values, so phi stays inside h's range.
     """
-    dx = np.diff(x)
-    slopes = np.diff(v) / dx
-    if not np.any(np.diff(slopes) > 0):
-        return v
-    out = v.copy()
-    eps = np.finfo(float).eps
-    s_prev = (out[1] - out[0]) / dx[0]
-    for j in range(1, dx.size):
-        s_j = (out[j + 1] - out[j]) / dx[j]
-        if s_j > s_prev:
-            guard = (1e-13 * max(1.0, abs(s_prev))
-                     + 4.0 * eps * max(abs(out[j]), abs(out[j + 1])) / dx[j])
-            out[j + 1] = out[j] + (s_prev - guard) * dx[j]
-            s_j = (out[j + 1] - out[j]) / dx[j]
-        s_prev = s_j
-    return out
+    keep = np.arange(x.size)
+    while keep.size > 2:
+        bends = np.diff(np.diff(v[keep]) / np.diff(x[keep])) < 0
+        if np.all(bends):
+            break
+        keep = np.concatenate((keep[:1], keep[1:-1][bends], keep[-1:]))
+    return keep
 
 
 def _hinge_rates(x: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -577,7 +574,8 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     converged = kkt <= cfg.grad_tol
 
     # the kink representation is exact and avoids fp slope noise at data knots
-    phi_final = PiecewiseConcave(active.xk, _repair_concavity(active.xk, u))
+    keep = _bent_kinks(active.xk, u)
+    phi_final = PiecewiseConcave(active.xk[keep], u[keep])
     raw = TransformedDensity(prob.transform, phi_final)
     integral_gap = abs(raw.integral - 1.0)
     density = raw.normalize()

@@ -80,9 +80,6 @@ class Transform:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, y):
-        return self.eval(y)
-
     def eval(self, y):
         """h(y) on the extended reals; 0 at/below y0_tilde, inf at/above yinf_tilde.
 
@@ -128,19 +125,6 @@ class Transform:
         else:
             out = -np.power(ua, s) if s < 0 else np.power(ua, s)
         return float(out[0]) if scalar else out
-
-    def derivative(self, y: float) -> float:
-        """h'(y) for y strictly between the limit points."""
-        if not (self.y0_tilde < y < self.yinf_tilde):
-            raise TransformDomainError(
-                f"derivative needs y in ({self.y0_tilde}, {self.yinf_tilde}), got {y}")
-        s = self.s
-        if s == 0:
-            return math.exp(y)
-        q = 1.0 / s
-        if s < 0:
-            return -q * (-y) ** (q - 1.0)
-        return q * y ** (q - 1.0)
 
 
 # ----------------------------------------------------------------------

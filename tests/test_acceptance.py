@@ -136,6 +136,21 @@ class TestEntropyExponent:
                f"fitted exponent {curve.exponent:.4f} in [0.4, 0.7]; "
                f"coverage 1.0 on 200 members; sizes within the declared bound")
 
+    def test_tail_class_holding_many_densities(self):
+        # at M = 2 the class holds only the uniform density on [-1, 1]; at
+        # M = 4 the members differ in support and shape
+        desc = TailClass(Transform.power(-1.0), 4.0)
+        members = sample_members(desc, 100, 99)
+        cover_ok, worst = True, 0.0
+        for eps in [0.12, 0.06, 0.03, 0.015]:
+            bset = build_cover(desc, eps, 2.0)
+            rep = verify_bracketing(bset, members)
+            cover_ok &= rep.covered_fraction == 1.0
+            worst = max(worst, rep.max_observed_size / bset.size_bound)
+        report("bracketing coverage (tail class s=-1, M=4, r=2)",
+               cover_ok and worst <= 1.0,
+               f"coverage 1.0 on 100 members; worst size slack {worst:.3f} <= 1")
+
 
 class TestEnvelope:
     def test_l_closed_form(self):

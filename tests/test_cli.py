@@ -213,6 +213,29 @@ class TestEntropyStudy:
             assert row["size_slack"] == pytest.approx(row["max_size"] / row["eps"], rel=1e-15)
             assert 0.0 < row["size_slack"] <= 1.0
 
+    def test_each_cover_built_once(self, runner, tmp_path, monkeypatch):
+        # the exponent is fitted from the rows already built; eps = 2.5 gives
+        # the trivial bracket (log-cardinality 0), which the fit leaves out
+        from sconcave import entropy
+        calls = []
+        build = entropy.build_cover
+        monkeypatch.setattr(entropy, "build_cover",
+                            lambda *args: calls.append(args) or build(*args))
+        eps_grid = [2.5, 0.2, 0.1, 0.05, 0.025]
+        cfg = {"version": 1, "class": "bounded_concave", "eps_grid": eps_grid,
+               "r": 1.0, "members": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["entropy-study", str(cfg_path), "--seed", "5",
+                                 "--out", str(tmp_path / "ent")])
+        assert r.exit_code == 0, r.output
+        assert len(calls) == len(eps_grid)
+        doc = json.loads((tmp_path / "ent.json").read_text())
+        assert doc["rows"][0]["log_cardinality"] == 0.0
+        curve = entropy.entropy_curve(entropy.BoundedConcaveClass(0.0, 1.0, 1.0), eps_grid, 1.0)
+        assert curve.dropped == 1
+        assert doc["fitted_exponent"] == curve.exponent
+
     def test_local_exponents(self, runner, tmp_path):
         # the slope between consecutive eps falls toward 1/2 with a log factor
         cfg = {"version": 1, "class": "bounded_concave",

@@ -1,4 +1,5 @@
-"""Piecewise-linear concave functions: evaluation, restriction, sampling."""
+"""Piecewise-linear concave functions: evaluation, restriction, sampling, and
+the array helpers for superlevel sets, restriction and clipping."""
 
 import math
 
@@ -7,11 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sconcave.concave_fn import DomainError, PiecewiseConcave, sample_random
+from sconcave.concave_fn import (DomainError, PiecewiseConcave, _clipped_above, _restricted,
+                                 _superlevel_set, sample_random)
 
 
 def tent():
     return PiecewiseConcave(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
+
+
+def superlevel(phi, y):
+    return _superlevel_set(phi.knots, phi.values, y)
+
+
+def restrict_range(phi, y_lo, y_hi=math.inf):
+    """phi restricted to its superlevel set at y_lo and clipped above at y_hi,
+    as the transformed cover's locate composes the array helpers."""
+    knots, values = _restricted(phi.knots, phi.values, *superlevel(phi, y_lo))
+    return PiecewiseConcave(*_clipped_above(knots, values, y_hi))
+
+
+def slopes(phi):
+    return np.diff(phi.values) / np.diff(phi.knots)
 
 
 class TestConstruction:
@@ -22,11 +39,6 @@ class TestConstruction:
     def test_rejects_tied_knots(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewiseConcave(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-
-    def test_from_points_merges_ties_with_max(self):
-        phi = PiecewiseConcave.from_points([0.0, 1.0, 1.0, 2.0], [0.0, 0.3, 1.0, 0.0])
-        assert phi.knots.size == 3
-        assert phi.eval(1.0) == 1.0
 
     def test_single_knot(self):
         phi = PiecewiseConcave(np.array([0.5]), np.array([2.0]))
@@ -80,16 +92,16 @@ class TestRestrictDomain:
 
 class TestSuperlevel:
     def test_tent_levels(self):
-        assert tent().superlevel_set(0.5) == pytest.approx((0.5, 1.5))
-        assert tent().superlevel_set(2.0) is None
-        assert tent().superlevel_set(-10.0) == (0.0, 2.0)
+        assert superlevel(tent(), 0.5) == pytest.approx((0.5, 1.5))
+        assert superlevel(tent(), 2.0) is None
+        assert superlevel(tent(), -10.0) == (0.0, 2.0)
 
     def test_monotone_shrinking(self):
         phi = sample_random(0.0, 1.0, 1.0, 10, 17)
         levels = np.linspace(-1.0, 1.0, 15)
         prev = None
         for y in levels:
-            cur = phi.superlevel_set(float(y))
+            cur = superlevel(phi, float(y))
             if prev is not None and cur is not None:
                 assert cur[0] >= prev[0] - 1e-12
                 assert cur[1] <= prev[1] + 1e-12
@@ -100,27 +112,29 @@ class TestSuperlevel:
 
 class TestRestrictRange:
     def test_tent_above_half(self):
-        res = tent().restrict_range(0.5, math.inf)
+        res = restrict_range(tent(), 0.5, math.inf)
         assert res.domain == pytest.approx((0.5, 1.5))
         assert min(res.values) >= 0.5 - 1e-12
 
     def test_clip_above(self):
-        res = tent().restrict_range(-1e9, 0.5)
-        assert res.max_value() == pytest.approx(0.5)
+        knots, values = _clipped_above(tent().knots, tent().values, 0.5)
+        assert float(np.max(values)) == pytest.approx(0.5)
         # plateau inserted exactly at the crossings
-        assert 0.5 in res.knots and 1.5 in res.knots
+        assert 0.5 in knots and 1.5 in knots
 
     def test_compose_superlevel_and_clip(self):
         lin = PiecewiseConcave(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        res = lin.restrict_range(0.25, 0.75)
+        res = restrict_range(lin, 0.25, 0.75)
         assert res.domain == pytest.approx((0.25, 1.0))
         xs = np.linspace(0.25, 1.0, 50)
         expected = np.minimum(xs, 0.75)
         np.testing.assert_allclose(res.eval(xs), expected, atol=1e-12)
 
     def test_empty_superlevel_raises(self):
+        # the empty superlevel set is None; restricting off the domain raises
+        assert superlevel(tent(), 2.5) is None
         with pytest.raises(DomainError):
-            tent().restrict_range(2.5)
+            _restricted(tent().knots, tent().values, 2.5, 2.6)
 
 
 class TestSampleRandom:
@@ -130,8 +144,8 @@ class TestSampleRandom:
         phi = sample_random(-1.0, 2.0, 1.5, 8, seed)
         assert phi.knots[0] == -1.0 and phi.knots[-1] == 2.0
         assert np.max(np.abs(phi.values)) <= 1.5
-        slopes = phi.slopes
-        assert np.all(np.diff(slopes) <= 1e-12 * max(1.0, np.max(np.abs(slopes))))
+        d = slopes(phi)
+        assert np.all(np.diff(d) <= 1e-12 * max(1.0, np.max(np.abs(d))))
 
     def test_deterministic(self):
         a = sample_random(0.0, 1.0, 1.0, 8, 42)
@@ -156,12 +170,13 @@ class TestOperationOutputsConcave:
     @settings(max_examples=100, deadline=None)
     def test_restrict_range_keeps_concavity(self, seed, y):
         phi = sample_random(0.0, 1.0, 1.0, 9, seed)
-        if phi.max_value() <= y:
+        top = float(np.max(phi.values))
+        if top <= y:
             return
-        res = phi.restrict_range(y, 0.5 * (y + phi.max_value()))
-        slopes = res.slopes
-        if slopes.size >= 2:
-            assert np.all(np.diff(slopes) <= 1e-12 * max(1.0, np.max(np.abs(slopes))))
+        res = restrict_range(phi, y, 0.5 * (y + top))
+        d = slopes(res)
+        if d.size >= 2:
+            assert np.all(np.diff(d) <= 1e-12 * max(1.0, np.max(np.abs(d))))
 
 
 def _restrict_loop(phi, lo, hi):
@@ -174,7 +189,7 @@ def _restrict_loop(phi, lo, hi):
 
 def _clip_loop(phi, y_hi):
     """Reference: the knot-by-knot clip, crossings inserted between knots."""
-    plateau = phi.superlevel_set(y_hi)
+    plateau = superlevel(phi, y_hi)
     xs, vs = [float(phi.knots[0])], [min(float(phi.values[0]), y_hi)]
     for x, v in zip(phi.knots[1:].tolist(), phi.values[1:].tolist()):
         for cx in plateau:
@@ -203,16 +218,16 @@ class TestArrayFormsMatchLoops:
     @settings(max_examples=150, deadline=None)
     def test_clip_above(self, seed, frac, on_knot):
         phi = sample_random(0.0, 1.0, 1.0, 9, seed)
-        low, top = float(phi.values.min()), phi.max_value()
+        low, top = float(phi.values.min()), float(phi.values.max())
         y = (float(phi.values[int(frac * (phi.knots.size - 1))]) if on_knot
              else low + frac * (top - low))
-        res = phi.clip_above(y)
+        knots, values = _clipped_above(phi.knots, phi.values, y)
         if y >= top:
-            assert res is phi
+            assert knots is phi.knots and values is phi.values
             return
         xs, vs = _clip_loop(phi, y)
-        np.testing.assert_array_equal(res.knots, xs)
-        np.testing.assert_array_equal(res.values, vs)
+        np.testing.assert_array_equal(knots, xs)
+        np.testing.assert_array_equal(values, vs)
 
 
 class TestSerialization:

@@ -69,8 +69,9 @@ class TestLipschitzCover:
         bset = cover_lipschitz_concave(0, 1, 1, 1, 5.0)
         for member in sample_members(LipschitzConcaveClass(0, 1, 1, 1), 3, 5):
             bracket = bset.locate(member)
-            assert len(bracket.pieces) == 1 and bracket.support == (0, 1)
+            assert len(bracket.pieces) == 1
             piece = bracket.pieces[0]
+            assert (piece.a, piece.b) == (0, 1)
             assert (piece.lower, piece.upper) == (("const", -1.0), ("const", 1.0))
         assert bset.log_cardinality == 0.0
 

@@ -233,6 +233,12 @@ class TestExistence:
             with pytest.raises(ValueError):
                 FitConfig(s=0.0, grad_tol=grad_tol)
 
+    @pytest.mark.parametrize("max_iterations", [0, -3, 2.5])
+    def test_config_rejects_a_budget_below_one_evaluation(self, max_iterations):
+        # 0 and -3 returned the flat pilot, 2.5 spent 3 evaluations
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitConfig(s=0.0, max_iterations=max_iterations)
+
 
 class TestNonexistence:
     def test_critical_scale_value(self):
@@ -431,12 +437,23 @@ class TestKnownDefects:
     claimed convergence above ``grad_tol``."""
 
     def test_repair_guard_covers_slope_resolution(self):
-        from sconcave.mle import _repair_concavity
-        # a linear function over a 1e-9 gap: rounding makes its slopes jitter
+        from sconcave.mle import _bent_kinks
+        # a linear function over a 1e-9 gap: rounding makes its slopes jitter;
+        # the final kink set keeps the ends and only kinks whose slope drops
         x = np.array([-2.280258602312189, -1.19582816467109, -1.0027376871264224,
                       -1.0027376861264223, 0.7668178889702638, 1.1818079443533893])
-        out = _repair_concavity(x, 5.0 - 0.5 * x)
-        assert np.all(np.diff(np.diff(out) / np.diff(x)) <= 0)
+        v = 5.0 - 0.5 * x
+        keep = _bent_kinks(x, v)
+        assert keep[0] == 0 and keep[-1] == x.size - 1
+        assert np.all(np.diff(np.diff(v[keep]) / np.diff(x[keep])) < 0)
+        np.testing.assert_array_equal(_bent_kinks(x[keep], v[keep]), np.arange(keep.size))
+
+    def test_final_kinks_stay_in_the_transform_range(self):
+        # the former slope repair moved a kink value to -1.26e-6, below h's
+        # zero point at s = 1.5, and fit raised DomainError
+        res = fit(np.random.default_rng(2).exponential(size=40) * 1e6, FitConfig(s=1.5))
+        assert np.min(res.phi_hat.values) > 0
+        assert abs(res.density.integral - 1.0) <= 1e-8
 
     @pytest.mark.parametrize("law, n, seed", [
         ("laplace", 6400, "derived"), ("laplace", 25600, 1), ("laplace", 25600, 3),
@@ -459,3 +476,5 @@ class TestKnownDefects:
         assert res.iterations <= cap
         assert not res.converged
         assert abs(res.density.integral - 1.0) <= 1e-8
+        slopes = np.diff(res.phi_hat.values) / np.diff(res.phi_hat.knots)
+        assert np.all(np.diff(slopes) < 0)  # every interior knot bends

@@ -38,7 +38,7 @@ print(sorted(m for m in ("scipy.special", "scipy.linalg", "scipy.integrate")
 
 def test_cold_start_leaves_out_scipy():
     # the MLE and the rate studies stand on numpy alone; scipy loads only for
-    # the Gaussian reference's cdf, the entropy counts and the test oracles
+    # the Gaussian reference's inverse cdf, the entropy counts and the test oracles
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", _COLD_START],
                          capture_output=True, text=True, env=env, check=True)

@@ -11,10 +11,6 @@ from sconcave.transforms import (Transform, TransformDomainError, check_assumpti
                                  check_s_concavity, generalized_mean, nesting_check)
 
 
-def finite_difference(f, y, h=1e-7):
-    return (f(y + h) - f(y - h)) / (2 * h)
-
-
 class TestConstruction:
     # (s, y0_tilde, yinf_tilde, alpha, beta) as derived from s alone; the
     # exp member (s = 0 or -0.0) stores s = 0.0
@@ -93,27 +89,6 @@ class TestInverse:
         us = np.geomspace(1e-6, 1e6, 200)
         ys = np.asarray([t.inverse(float(u)) for u in us])
         assert np.all(np.diff(ys) >= 0)
-
-
-class TestDerivative:
-    def test_values(self):
-        assert Transform.power(0.0).derivative(0.0) == pytest.approx(1.0)
-        assert Transform.power(-1.0).derivative(-2.0) == pytest.approx(0.25)
-        assert Transform.power(-0.5).derivative(-1.0) == pytest.approx(2.0)
-
-    @pytest.mark.parametrize("t,y", [
-        (Transform.power(0.0), 0.7),
-        (Transform.power(-0.5), -1.3),
-        (Transform.power(-0.25), -0.4),
-        (Transform.power(2.0), 1.9),
-    ])
-    def test_matches_finite_differences(self, t, y):
-        fd = finite_difference(lambda z: t.eval(z), y)
-        assert t.derivative(y) == pytest.approx(fd, rel=1e-6)
-
-    def test_domain_error(self):
-        with pytest.raises(TransformDomainError):
-            Transform.power(-0.5).derivative(1.0)
 
 
 class TestAssumptions:
