@@ -485,7 +485,7 @@ class ReferenceDistribution:
         else:
             b = self.beta
             out = 0.5 * (b - 1.0) * np.power(1.0 + np.abs(xa), -b)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return float(out) if np.ndim(x) == 0 else out
 
     def inverse_cdf(self, u):
         ua = np.asarray(u, dtype=float)
@@ -501,7 +501,7 @@ class ReferenceDistribution:
             w = np.abs(2.0 * ua - 1.0)
             mag = np.power(1.0 - w, -1.0 / (b - 1.0)) - 1.0
             out = np.sign(2.0 * ua - 1.0) * mag
-        return out if isinstance(u, np.ndarray) else float(out)
+        return float(out) if np.ndim(u) == 0 else out
 
 
 def reference(name: str, beta: float = 3.0) -> ReferenceDistribution:

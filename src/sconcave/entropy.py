@@ -575,11 +575,12 @@ def cover_transformed(t: Transform, b1: float, b2: float, B: float,
 
     def locate(member) -> Bracket:
         # member: object with .phi (PiecewiseConcave) in original phi-space,
-        # or a PiecewiseConcave directly, or None for the zero function
+        # or a PiecewiseConcave directly, or None for the zero function; a
+        # member whose domain misses (b1, b2) is the zero function there
         phi = getattr(member, "phi", member)
-        if phi is None:
+        if phi is None or phi.knots[-1] <= b1 or phi.knots[0] >= b2:
             return Bracket([BracketPiece(b1, b2, ("const", 0.0), ("const", const_out))])
-        knots, values = phi.knots, phi.values - shift  # phi shifted down
+        knots, values = _restricted(phi.knots, phi.values - shift, b1, b2)  # shifted down
         pieces: List[BracketPiece] = []
         covered = None
         for y_lo, y_hi, budget, plateau, step, last, cache in levels:
@@ -679,8 +680,8 @@ def cover_tail_class(t: Transform, M: float, eps: float, r: float) -> BracketSet
     sides each get their own cover at the envelope-shaped budget
     ``eps * A_i^(1/(2r+1))``, or a zero bracket where that budget exceeds the
     threshold share of the envelope; an exact envelope bracket closes each far
-    tail.  A member is restricted to each interval its support meets and is
-    the zero function on the rest.
+    tail.  Each interval's cover sees the member's phi as it is, and
+    restricts it to that interval.
     """
     if M <= 0 or eps <= 0 or r < 1:
         raise ValueError("need positive M, eps and r >= 1")
@@ -705,7 +706,6 @@ def cover_tail_class(t: Transform, M: float, eps: float, r: float) -> BracketSet
 
     def locate(member) -> Bracket:
         phi = getattr(member, "phi", None)
-        s_lo, s_hi = getattr(member, "support", (math.inf, -math.inf))
         pieces = [BracketPiece(-math.inf, -x_end, ("const", 0.0), ("env", env),
                                exact_size_r=tail_size_r),
                   BracketPiece(x_end, math.inf, ("const", 0.0), ("env", env),
@@ -714,10 +714,7 @@ def cover_tail_class(t: Transform, M: float, eps: float, r: float) -> BracketSet
             if not isinstance(payload, BracketSet):
                 pieces.append(BracketPiece(lo, hi, ("const", 0.0), ("const", payload)))
                 continue
-            part = None
-            if phi is not None and s_hi > lo and s_lo < hi:
-                part = phi.restrict_domain((max(lo, s_lo), min(hi, s_hi)))
-            pieces.extend(payload.locate(part).pieces)
+            pieces.extend(payload.locate(phi).pieces)
         pieces.sort(key=lambda p: p.a)
         return Bracket(pieces)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,6 +96,11 @@ def existence_threshold(s: float) -> int:
 # Objective
 # ----------------------------------------------------------------------
 
+def _tail_sums(a: np.ndarray) -> np.ndarray:
+    """Entry k is the sum of a[k + 2:]: the sum past interior knot k + 1."""
+    return np.cumsum(a[::-1])[::-1][2:]
+
+
 class _Problem:
     """Penalized MLE objective on the knot-value parametrization."""
 
@@ -112,6 +118,15 @@ class _Problem:
     @property
     def n_knots(self) -> int:
         return self.knots.size
+
+    @cached_property
+    def hinge_norm(self) -> np.ndarray:
+        """Length over the knots of each interior hinge (x - x_j)_+, knot k + 1 at k."""
+        x = self.knots
+        xj = x[1:-1]
+        norm2 = (_tail_sums(x * x) - 2.0 * xj * _tail_sums(x)
+                 + xj ** 2 * _tail_sums(np.ones(x.size)))
+        return np.sqrt(np.maximum(norm2, 1e-300))
 
     def feasible(self, v: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(v) & (self.lo <= v) & (v <= self.hi)))
@@ -176,28 +191,16 @@ def _bent_kinks(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _hinge_rates(x: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Directional derivatives along the normalized hinges (x - x_j)_+.
-
-    Suffix sums give every interior knot j in O(n).  Returns (j, rate), where
-    each hinge is normalized by its Euclidean length over the knots.
-    """
-    n = x.size
-
-    def suffix(a):
-        return np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
-
-    g_suf, gx_suf = suffix(grad), suffix(grad * x)
-    x_suf, x2_suf = suffix(x), suffix(x * x)
-    cnt_suf = np.arange(n, -1, -1, dtype=float)
-    j = np.arange(1, n - 1)
-    pair = gx_suf[j + 1] - x[j] * g_suf[j + 1]
-    norm2 = x2_suf[j + 1] - 2.0 * x[j] * x_suf[j + 1] + x[j] ** 2 * cnt_suf[j + 1]
-    return j, pair / np.sqrt(np.maximum(norm2, 1e-300))
+def _hinge_rates(prob: _Problem, grad: np.ndarray) -> np.ndarray:
+    """Rates along the normalized hinges (x - x_j)_+, knot k + 1 at k, in O(n)."""
+    x = prob.knots
+    return (_tail_sums(grad * x) - x[1:-1] * _tail_sums(grad)) / prob.hinge_norm
 
 
-def _kkt_certificate(prob: _Problem, grad: np.ndarray, kinks: np.ndarray) -> float:
-    """Exact tangent-cone optimality certificate at a kink-space iterate.
+def _certify(prob: _Problem, grad: np.ndarray, kinks: np.ndarray
+             ) -> Tuple[float, np.ndarray]:
+    """Exact tangent-cone optimality certificate at a kink-space iterate, and
+    the knots to add next, from one pass of hinge rates.
 
     Concave piecewise-linear vectors are nonnegative combinations of affine
     parts and negative hinges (x - x_j)_+, so the tangent cone at phi is
@@ -205,21 +208,35 @@ def _kkt_certificate(prob: _Problem, grad: np.ndarray, kinks: np.ndarray) -> flo
     +hinge_j where phi bends.  phi is linear between its kinks, so slack is
     decided by kink membership: +hinge_j enters only at the interior kinks
     of the current set, never at a knot whose interpolated value rounds to a
-    slope drop.  Returns the largest normalized directional derivative over
-    the generators, or 0 when none ascends.  Zero proves a maximum only for
-    0 <= s <= 1, where the objective is concave; otherwise only stationarity.
+    slope drop.  The certificate is the largest normalized directional
+    derivative over the generators, or 0 when none ascends.  Zero proves a
+    maximum only for 0 <= s <= 1, where the objective is concave; otherwise
+    only stationarity.  The new kinks are up to ``KINK_BATCH`` spaced-apart
+    knots whose -hinge_j ascends within a factor 0.3 of the fastest.
     """
     x = prob.knots
-    best = 0.0
+    kkt = 0.0
     for d in (np.ones(x.size), x - x.mean()):
-        best = max(best, abs(float(np.dot(grad, d))) / float(np.linalg.norm(d)))
+        kkt = max(kkt, abs(float(np.dot(grad, d))) / float(np.linalg.norm(d)))
+    picked = []
     if x.size >= 3:
-        _, rate = _hinge_rates(x, grad)
-        best = max(best, float(np.max(-rate)))  # removing slope drop: always feasible
+        down = -_hinge_rates(prob, grad)
+        kkt = max(kkt, float(np.max(down)))  # removing slope drop: always feasible
         inner = kinks[(kinks > 0) & (kinks < x.size - 1)]
         if inner.size:
-            best = max(best, float(np.max(rate[inner - 1])))  # rate[k] is knot k + 1
-    return best
+            kkt = max(kkt, float(np.max(-down[inner - 1])))
+        down[inner - 1] = -math.inf
+        order = np.argsort(down)[::-1]
+        threshold = 0.3 * down[order[0]] if down[order[0]] > 0 else math.inf
+        for o in order:
+            if down[o] <= 0 or down[o] < threshold or len(picked) >= KINK_BATCH:
+                break
+            knot = int(o) + 1
+            # space batch members out; the top candidate is always taken
+            if picked and any(abs(knot - t) <= 1 for t in picked):
+                continue
+            picked.append(knot)
+    return kkt, np.asarray(picked, dtype=int)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +250,8 @@ TARGET_TOL = 1e-3
 # cone stationarity ties the integral gap to grad_tol * sqrt(n); the
 # bound leaves room for samples up to ~10^10 points
 INTEGRAL_TOL = 1e-5
+# most knots one kink round adds
+KINK_BATCH = 8
 
 
 def _pilot_values(prob: _Problem) -> np.ndarray:
@@ -481,28 +500,6 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
     return active, u, evals
 
 
-def _new_kink_candidates(prob: _Problem, grad: np.ndarray, kinks: np.ndarray,
-                         batch: int = 8) -> np.ndarray:
-    """Knots with the strongest downward-hinge ascent rates, spaced apart."""
-    if prob.n_knots < 3:
-        return np.asarray([], dtype=int)
-    j, rate = _hinge_rates(prob.knots, grad)
-    rate = -rate
-    rate[np.isin(j, kinks)] = -math.inf
-    order = np.argsort(rate)[::-1]
-    threshold = 0.3 * rate[order[0]] if rate[order[0]] > 0 else math.inf
-    picked = []
-    for o in order:
-        if rate[o] <= 0 or rate[o] < threshold or len(picked) >= batch:
-            break
-        knot = int(j[o])
-        # space batch members out; the top candidate is always taken
-        if picked and any(abs(knot - t) <= 1 for t in picked):
-            continue
-        picked.append(knot)
-    return np.asarray(picked, dtype=int)
-
-
 def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     """Compute the s-concave MLE of the sample.
 
@@ -515,7 +512,12 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
        generators, with slack at the current kinks only.
     3. The knots whose hinges ascend fastest join the kink set, or the loop
        stops: when the certificate meets a target tighter than ``grad_tol``,
-       when no knot ascends, or when the objective stalls.
+       when no knot ascends, when the objective stalls, or when fewer than
+       the two evaluations that moving a new kink takes remain.
+
+    Steps 2 and 3 read one pass of hinge rates.  The budget is checked
+    before kinks join, so the returned iterate is always a solved and
+    certified one, and its numbers are kept, not recomputed.
 
     The fit returns the best iterate certified at ``grad_tol``, else the last.
     ``converged`` means the returned iterate meets the certificate at
@@ -544,34 +546,33 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     u = v[active.kinks]
     iterations = 0
     budget = cfg.max_iterations
-    best = None  # (objective, kink set, kink values) of the best certified iterate
+    # (objective, certificate, kink set, kink values) of the best certified
+    # iterate and of the last one solved
+    best = last = None
     prev_val = -math.inf
-    while iterations < budget:
+    while True:
         active, u, evals = _reduced_newton(prob, active, u, INNER_TOL * cfg.grad_tol,
                                            budget - iterations)
         iterations += evals
         v = active.expand(u)
         cur_val, grad = prob.value_and_grad(v)
-        kkt = _kkt_certificate(prob, grad, active.kinks)
+        kkt, new_kinks = _certify(prob, grad, active.kinks)
+        last = (cur_val, kkt, active, u)
         stalled = not cur_val > prev_val
         prev_val = cur_val
         if kkt <= cfg.grad_tol and (best is None or cur_val > best[0]):
-            best = (cur_val, active, u)
+            best = last
         if best is not None and kkt <= TARGET_TOL * cfg.grad_tol:
             break
-        # add the knots with the strongest certified bends, re-solve
-        new_kinks = (np.asarray([], dtype=int) if stalled
-                     else _new_kink_candidates(prob, grad, active.kinks))
-        if new_kinks.size == 0:
+        # moving a new kink takes two evaluations: the new set's, then a step
+        if stalled or new_kinks.size == 0 or budget - iterations < 2:
             break
+        # add the knots with the strongest certified bends, re-solve
         active = _ActiveSet(prob, np.concatenate((active.kinks, new_kinks)))
         u = v[active.kinks]
 
-    if best is not None:
-        _, active, u = best
-    val, grad = prob.value_and_grad(active.expand(u))
-    kkt = _kkt_certificate(prob, grad, active.kinks)
-    converged = kkt <= cfg.grad_tol
+    val, kkt, active, u = best if best is not None else last
+    converged = best is not None
 
     # the kink representation is exact and avoids fp slope noise at data knots
     keep = _bent_kinks(active.xk, u)

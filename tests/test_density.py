@@ -353,6 +353,23 @@ class TestSamplers:
         ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
         assert ks <= 2.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("name", ["gaussian", "laplace", "uniform", "pareto"])
+    def test_sequence_inputs_match_arrays(self, name):
+        # lists and tuples once reached float() and raised TypeError
+        dist = reference(name)
+        x, u = [-1.5, 0.0, 0.25, 2.0], [0.05, 0.2, 0.5, 0.9]
+        for method, pts in ((dist.pdf, x), (dist.inverse_cdf, u)):
+            want = method(np.asarray(pts))
+            assert isinstance(want, np.ndarray) and want.shape == (4,)
+            for seq in (pts, tuple(pts)):
+                got = method(seq)
+                assert isinstance(got, np.ndarray)
+                np.testing.assert_array_equal(got, want)
+            for k, p in enumerate(pts):
+                for scalar in (p, np.float64(p)):
+                    got = method(scalar)
+                    assert type(got) is float and got == want[k]
+
 
 class TestEnvelopeDomination:
     @pytest.mark.parametrize("s", [-0.5, -0.25, 0.0])

@@ -159,6 +159,24 @@ class TestTransformedCover:
             for p, q in zip(pieces, pieces[1:]):
                 assert abs(q.a - p.b) <= 1e-12 * max(abs(q.a), 1.0), (p.b, q.a)
 
+    def test_member_past_the_interval_is_restricted_in_locate(self):
+        # a tail-class member reaches each interval's cover unrestricted
+        t = Transform.power(-1.0)
+        b1, b2 = -3.0, 5.0
+        bset = cover_transformed(t, b1, b2, 1.0, 0.1, 2.0)
+        phi = _wide_member(*WIDE_MEMBERS[0]).phi
+        assert phi.knots[0] < b1 and phi.knots[-1] > b2
+        inside = phi.restrict_domain((b1, b2))
+        bracket = bset.locate(phi)
+        assert _covers(bracket, SimpleNamespace(transform=t, phi=inside))
+        assert bracket.size_lr(2.0) == pytest.approx(bset.locate(inside).size_lr(2.0),
+                                                     rel=1e-12, abs=0.0)
+        # a domain that misses (b1, b2), or only touches an end, is the zero function
+        zero = bset.locate(None).pieces
+        for lo, hi in ((6.0, 9.0), (b2, 8.0), (-7.0, b1)):
+            outside = PiecewiseConcave(np.array([lo, hi]), np.array([-3.0, -3.0]))
+            assert bset.locate(outside).pieces == zero
+
     def test_no_hole_at_seed_7(self):
         # member 164 sat 0.496 high in a stretch (0.35, 0.35185) with no piece
         t = Transform.power(-1.0)

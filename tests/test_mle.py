@@ -478,3 +478,42 @@ class TestKnownDefects:
         assert abs(res.density.integral - 1.0) <= 1e-8
         slopes = np.diff(res.phi_hat.values) / np.diff(res.phi_hat.knots)
         assert np.all(np.diff(slopes) < 0)  # every interior knot bends
+
+    @pytest.mark.parametrize("law, beta, s, n, seed", [
+        ("gaussian", 3.0, 0.0, 400, 1), ("pareto", 3.0, -0.5, 800, 2)])
+    @pytest.mark.parametrize("cap", [2, 3, 5, 7, 10, 20, 50])
+    def test_budget_stop_returns_only_bent_knots(self, law, beta, s, n, seed, cap):
+        # a fit stopped by the budget once returned kinks inserted after the
+        # last solve: never solved, they bent by rounding only (-2.5e-16)
+        res = fit(sample(reference(law, beta), n, seed), FitConfig(s=s, max_iterations=cap))
+        assert res.iterations <= cap
+        slopes = np.diff(res.phi_hat.values) / np.diff(res.phi_hat.knots)
+        assert np.all(np.diff(slopes) < -1e-12 * np.max(np.abs(slopes)))
+
+
+class TestOnePassPerRound:
+    """Each kink round evaluates the objective once and reads one pass of
+    hinge rates, for the certificate and the next kinks alike; the returned
+    iterate is not evaluated again."""
+
+    @pytest.mark.parametrize("law, s, n, cap", [
+        ("laplace", 0.0, 800, 2000), ("pareto", -0.5, 800, 2000),
+        ("gaussian", 0.5, 200, 2000), ("gaussian", 0.0, 400, 7)])
+    def test_calls_per_round(self, monkeypatch, law, s, n, cap):
+        from sconcave import mle
+        calls = {"round": 0, "value": 0, "hinge": 0}
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mle, "_reduced_newton", counted("round", mle._reduced_newton))
+        monkeypatch.setattr(mle, "_hinge_rates", counted("hinge", mle._hinge_rates))
+        monkeypatch.setattr(mle._Problem, "value_and_grad",
+                            counted("value", mle._Problem.value_and_grad))
+        fit(sample(reference(law), n, seed=4), FitConfig(s=s, max_iterations=cap))
+        assert calls["round"] >= 2
+        assert calls["value"] == calls["round"]
+        assert calls["hinge"] == calls["round"]
