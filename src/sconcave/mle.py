@@ -212,7 +212,9 @@ def _certify(prob: _Problem, grad: np.ndarray, kinks: np.ndarray
     derivative over the generators, or 0 when none ascends.  Zero proves a
     maximum only for 0 <= s <= 1, where the objective is concave; otherwise
     only stationarity.  The new kinks are up to ``KINK_BATCH`` spaced-apart
-    knots whose -hinge_j ascends within a factor 0.3 of the fastest.
+    knots whose -hinge_j ascends within a factor 0.3 of the fastest, taken
+    fastest first.  The threshold comes from the largest rate, so only the
+    knots at or above it are sorted, not all n.
     """
     x = prob.knots
     kkt = 0.0
@@ -226,16 +228,20 @@ def _certify(prob: _Problem, grad: np.ndarray, kinks: np.ndarray
         if inner.size:
             kkt = max(kkt, float(np.max(-down[inner - 1])))
         down[inner - 1] = -math.inf
-        order = np.argsort(down)[::-1]
-        threshold = 0.3 * down[order[0]] if down[order[0]] > 0 else math.inf
-        for o in order:
-            if down[o] <= 0 or down[o] < threshold or len(picked) >= KINK_BATCH:
-                break
-            knot = int(o) + 1
-            # space batch members out; the top candidate is always taken
-            if picked and any(abs(knot - t) <= 1 for t in picked):
-                continue
-            picked.append(knot)
+        top = float(np.max(down))
+        if top > 0:
+            # order only the candidates within the factor, fastest first;
+            # equal rates go highest knot first
+            cand = np.flatnonzero(down >= 0.3 * top)
+            order = cand[np.argsort(down[cand], kind="stable")[::-1]]
+            for o in order.tolist():
+                if len(picked) >= KINK_BATCH:
+                    break
+                knot = o + 1
+                # space batch members out; the top candidate is always taken
+                if picked and any(abs(knot - t) <= 1 for t in picked):
+                    continue
+                picked.append(knot)
     return kkt, np.asarray(picked, dtype=int)
 
 
@@ -261,30 +267,103 @@ def _pilot_values(prob: _Problem) -> np.ndarray:
     return np.clip(np.full(x.size, level), prob.lo, prob.hi)
 
 
+def _without(a: np.ndarray, k: int) -> np.ndarray:
+    """A copy of a without entry k (np.delete, minus its overhead on small arrays)."""
+    return np.concatenate((a[:k], a[k + 1:]))
+
+
 class _ActiveSet:
     """A kink set and the objective restricted to it (kink space).
 
     phi is linear between kinks, so knot i on kink segment seg[i] with
     barycentric weight lam[i] has value (1 - lam) u[seg] + lam u[seg + 1] for
-    kink values u.  The knot-to-kink map T is never formed.
+    kink values u.  The knot-to-kink map T is never formed.  The constructor
+    builds a set over all knots; ``drop`` and ``insert`` change the set in
+    place and rewrite only the knots of the segments they touch (plus a shift
+    of the later segment indices), with the same operations in the same order
+    as a fresh build, so the result is bit-identical to one.
     """
 
     def __init__(self, prob: _Problem, kinks: np.ndarray):
         self.prob = prob
-        self.kinks = np.unique(np.concatenate(([0, prob.n_knots - 1], kinks)))
+        self._set_kinks(np.unique(np.concatenate(([0, prob.n_knots - 1], kinks))))
         x = prob.knots
-        self.xk = x[self.kinks]
-        self.dxk = np.diff(self.xk)
         m = self.kinks.size
         self.seg = np.minimum(np.searchsorted(self.xk, x, side="right") - 1, m - 2)
         self.lam = (x - self.xk[self.seg]) / self.dxk[self.seg]
         self.om = 1.0 - self.lam
         w = prob.weights
         if prob.s == 0:
-            self.data_grad = self._pull_back(w)  # T^T w: the data term is linear
+            # the weights each kink gets from its right-hand and its left-hand
+            # segment; they sum to the data term's gradient
+            self._w_right = np.bincount(self.seg, w * self.om, minlength=m)
+            self._w_left = np.bincount(self.seg + 1, w * self.lam, minlength=m)
         else:
             self.hess_w = (w * self.om * self.om, w * self.lam * self.lam,
                            w * self.lam * self.om)
+
+    def _set_kinks(self, kinks: np.ndarray) -> None:
+        self.kinks = kinks
+        self.xk = self.prob.knots[kinks]
+        self.dxk = np.diff(self.xk)
+        self._dxk = self.dxk.tolist()
+
+    def _knot_span(self, a: int, b: int) -> Tuple[int, int]:
+        """Knot index range [i0, i1) of kink segments a..b; the last segment
+        also holds the last knot."""
+        end = self.kinks[b + 1] if b + 1 < self.kinks.size - 1 else self.prob.n_knots
+        return int(self.kinks[a]), int(end)
+
+    def _refit(self, a: int, b: int) -> None:
+        """Rewrite seg, lam, om and the data weights on the knots of segments a..b."""
+        i0, i1 = self._knot_span(a, b)
+        ends = self.kinks[a:b + 2].copy()
+        ends[-1] = i1
+        seg = np.repeat(np.arange(a, b + 1), np.diff(ends))
+        x = self.prob.knots[i0:i1]
+        lam = (x - self.xk[seg]) / self.dxk[seg]
+        om = 1.0 - lam
+        self.seg[i0:i1], self.lam[i0:i1], self.om[i0:i1] = seg, lam, om
+        w = self.prob.weights[i0:i1]
+        if self.prob.s == 0:
+            # summed in knot order, as the full build's bincount sums them
+            self._w_right[a:b + 1] = np.bincount(seg - a, w * om, minlength=b - a + 1)
+            self._w_left[a + 1:b + 2] = np.bincount(seg - a, w * lam, minlength=b - a + 1)
+        else:
+            for h, new in zip(self.hess_w, (w * om * om, w * lam * lam, w * lam * om)):
+                h[i0:i1] = new
+
+    def drop(self, k: int) -> None:
+        """Remove interior kink k: segments k - 1 and k merge."""
+        self._set_kinks(_without(self.kinks, k))
+        if self.prob.s == 0:
+            self._w_right = _without(self._w_right, k)
+            self._w_left = _without(self._w_left, k)
+        end = self._knot_span(k - 1, k - 1)[1]
+        self.seg[end:] -= 1  # the later segments move left by one
+        self._refit(k - 1, k - 1)
+
+    def insert(self, knots: np.ndarray) -> None:
+        """Add knot indices that are not kinks yet; each splits the segment it lies in."""
+        new = np.sort(knots)
+        pos = np.searchsorted(self.kinks, new)
+        # a segment keeps its knots and moves right past the kinks added before it
+        self.seg += np.searchsorted(new, self.kinks[:-1])[self.seg]
+        self._set_kinks(np.insert(self.kinks, pos, new))
+        if self.prob.s == 0:
+            self._w_right = np.insert(self._w_right, pos, 0.0)
+            self._w_left = np.insert(self._w_left, pos, 0.0)
+        at = (pos + np.arange(new.size)).tolist()  # indices of the new kinks
+        first = 0
+        for i in range(new.size):
+            if i + 1 == new.size or pos[i + 1] != pos[i]:
+                self._refit(at[first] - 1, at[i])  # the split segment's pieces
+                first = i + 1
+
+    @property
+    def data_grad(self) -> np.ndarray:
+        """T^T w at s = 0: the data term is linear, so this is its gradient."""
+        return self._w_right + self._w_left
 
     def _pull_back(self, r: np.ndarray) -> np.ndarray:
         """T^T r for a per-knot vector r."""
@@ -307,8 +386,8 @@ class _ActiveSet:
         m = u.size
         with np.errstate(over="ignore"):
             if s == 0:
-                term1 = float(np.dot(self.data_grad, u))
-                grad = self.data_grad.copy()
+                grad = self.data_grad
+                term1 = float(np.dot(grad, u))
                 diag = np.zeros(m)
                 off = np.zeros(m - 1)
             else:
@@ -336,57 +415,65 @@ class _ActiveSet:
         return term1 - total, grad, diag, off
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> Tuple[float, Optional[int]]:
-        """Largest t keeping kink slopes nonincreasing; returns (t, tight kink)."""
-        t_cap = self._cap_step(u, du)
-        if self.kinks.size < 3:
-            return t_cap, None
-        s0 = np.diff(u) / self.dxk
-        ds = np.diff(du) / self.dxk
-        c0 = np.diff(s0)          # current slope increases (<= 0)
-        dc = np.diff(ds)          # change per unit step
-        rising = np.nonzero(dc > 1e-14)[0]
-        if rising.size == 0:
-            return t_cap, None
-        t_i = np.maximum(0.0, -c0[rising]) / dc[rising]
-        k = int(np.argmin(t_i))
-        if t_cap < t_i[k]:
-            return t_cap, None
-        return float(t_i[k]), int(rising[k]) + 1  # kink index inside self.kinks
+        """Largest t keeping kink slopes nonincreasing; returns (t, tight kink).
 
-    def _cap_step(self, u: np.ndarray, du: np.ndarray) -> float:
+        On Python floats: m is small, so numpy's per-call overhead would
+        dominate.  Ties go to the first kink.
+        """
+        u, du = u.tolist(), du.tolist()
+        t_cap = self._cap_step(u, du)
+        dx = self._dxk
+        s0 = [(b - a) / h for a, b, h in zip(u, u[1:], dx)]
+        ds = [(b - a) / h for a, b, h in zip(du, du[1:], dx)]
+        t_min, tight = math.inf, None
+        for i in range(len(dx) - 1):
+            dc = ds[i + 1] - ds[i]  # change per unit step of a slope increase (<= 0)
+            if dc > 1e-14:
+                t = max(0.0, -(s0[i + 1] - s0[i])) / dc
+                if tight is None or t < t_min:
+                    t_min, tight = t, i + 1  # kink index inside self.kinks
+        if tight is None or t_cap < t_min:
+            return t_cap, None
+        return t_min, tight
+
+    def _cap_step(self, u: list, du: list) -> float:
         """Largest t keeping u + t du inside the capped range [lo, hi] of h."""
+        lo, hi = self.prob.lo, self.prob.hi
+        up, down = math.isfinite(hi), math.isfinite(lo)
         t = math.inf
-        for bound, grow in ((self.prob.hi, du > 1e-300), (self.prob.lo, du < -1e-300)):
-            if math.isfinite(bound) and np.any(grow):
-                with np.errstate(divide="ignore"):
-                    t = min(t, float(np.min(np.abs(bound - u[grow]) / np.abs(du[grow]))))
+        for a, d in zip(u, du):
+            if up and d > 1e-300:
+                t = min(t, abs(hi - a) / abs(d))
+            elif down and d < -1e-300:
+                t = min(t, abs(lo - a) / abs(d))
         return t
 
 
 def _drop_flat_kink(active: _ActiveSet, u: np.ndarray, k: int, state: tuple
-                    ) -> Tuple[_ActiveSet, np.ndarray, tuple]:
+                    ) -> Tuple[np.ndarray, tuple]:
     """Drop interior kink k, which lies on the line between its neighbours.
 
     With mu = (x_k - x_{k-1}) / (x_{k+1} - x_{k-1}) the kink value is
     u_k = (1 - mu) u_{k-1} + mu u_{k+1}, so phi is unchanged and the reduced
     objective is the current one composed with that linear map.  The value
     carries over; the gradient and the tridiagonal Hessian (diag, off) follow
-    by the chain rule in O(m).
+    by the chain rule in O(m).  ``active`` loses the kink in place; the
+    reduced kink values and state are returned.
     """
     val, grad, diag, off = state
     xk = active.xk
     mu = (xk[k] - xk[k - 1]) / (xk[k + 1] - xk[k - 1])
     nu = 1.0 - mu
-    g = np.delete(grad, k)
+    g = _without(grad, k)
     g[k - 1] += nu * grad[k]
     g[k] += mu * grad[k]
-    d = np.delete(diag, k)
+    d = _without(diag, k)
     d[k - 1] += 2.0 * nu * off[k - 1] + nu * nu * diag[k]
     d[k] += 2.0 * mu * off[k] + mu * mu * diag[k]
-    e = np.delete(off, k)  # e[k - 1] now couples kinks k - 1 and k + 1
+    e = _without(off, k)  # e[k - 1] now couples kinks k - 1 and k + 1
     e[k - 1] = mu * off[k - 1] + nu * off[k] + mu * nu * diag[k]
-    reduced = _ActiveSet(active.prob, np.delete(active.kinks, k))
-    return reduced, np.delete(u, k), (val, g, d, e)
+    active.drop(k)
+    return _without(u, k), (val, g, d, e)
 
 
 def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, b: np.ndarray
@@ -418,8 +505,8 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, b: np.ndarray
     return np.asarray(x)
 
 
-def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
-                    inner_tol: float, budget: int) -> Tuple[_ActiveSet, np.ndarray, int]:
+def _reduced_newton(active: _ActiveSet, u: np.ndarray, inner_tol: float, budget: int
+                    ) -> Tuple[np.ndarray, int]:
     """Maximize the objective over the current kink set in at most ``budget`` evaluations.
 
     Damped Newton steps on the kink values use the exact tridiagonal Hessian,
@@ -432,7 +519,8 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
     one that flattens it.  A step cut short at t = 1 leaves the kink bent, so
     that drop is evaluated afresh.  Once a step's predicted gain is below the
     resolution of the objective, the step counts as improving when it shrinks
-    the gradient.
+    the gradient.  Drops change ``active`` in place; returns the kink values
+    and the evaluations spent.
     """
     evals = 0
     stale = True
@@ -466,7 +554,7 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
             t_max, tight = active.max_step(u, direction)
             if t_max <= 1e-12 and tight is not None:
                 # lossless removal: the blocking kink is flat on a segment
-                active, u, (val, grad, diag, off) = _drop_flat_kink(
+                u, (val, grad, diag, off) = _drop_flat_kink(
                     active, u, tight, (val, grad, diag, off))
                 moved = True
                 break
@@ -491,13 +579,13 @@ def _reduced_newton(prob: _Problem, active: _ActiveSet, u: np.ndarray,
                 if tight is not None and t >= 0.999 * t_max and active.kinks.size > 2:
                     # the step flattened this kink: remove it; unless the step
                     # reached it exactly the kink still bends, so re-evaluate
-                    active, u, (val, grad, diag, off) = _drop_flat_kink(
+                    u, (val, grad, diag, off) = _drop_flat_kink(
                         active, u, tight, (val, grad, diag, off))
                     stale = t != t_max
                 break
         if not moved:
             break
-    return active, u, evals
+    return u, evals
 
 
 def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
@@ -546,18 +634,17 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
     u = v[active.kinks]
     iterations = 0
     budget = cfg.max_iterations
-    # (objective, certificate, kink set, kink values) of the best certified
-    # iterate and of the last one solved
+    # (objective, certificate, kink positions, kink values) of the best
+    # certified iterate and of the last one solved
     best = last = None
     prev_val = -math.inf
     while True:
-        active, u, evals = _reduced_newton(prob, active, u, INNER_TOL * cfg.grad_tol,
-                                           budget - iterations)
+        u, evals = _reduced_newton(active, u, INNER_TOL * cfg.grad_tol, budget - iterations)
         iterations += evals
         v = active.expand(u)
         cur_val, grad = prob.value_and_grad(v)
         kkt, new_kinks = _certify(prob, grad, active.kinks)
-        last = (cur_val, kkt, active, u)
+        last = (cur_val, kkt, active.xk, u)
         stalled = not cur_val > prev_val
         prev_val = cur_val
         if kkt <= cfg.grad_tol and (best is None or cur_val > best[0]):
@@ -568,15 +655,15 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
         if stalled or new_kinks.size == 0 or budget - iterations < 2:
             break
         # add the knots with the strongest certified bends, re-solve
-        active = _ActiveSet(prob, np.concatenate((active.kinks, new_kinks)))
+        active.insert(new_kinks)
         u = v[active.kinks]
 
-    val, kkt, active, u = best if best is not None else last
+    val, kkt, xk, u = best if best is not None else last
     converged = best is not None
 
     # the kink representation is exact and avoids fp slope noise at data knots
-    keep = _bent_kinks(active.xk, u)
-    phi_final = PiecewiseConcave(active.xk[keep], u[keep])
+    keep = _bent_kinks(xk, u)
+    phi_final = PiecewiseConcave(xk[keep], u[keep])
     raw = TransformedDensity(prob.transform, phi_final)
     integral_gap = abs(raw.integral - 1.0)
     density = raw.normalize()

@@ -106,20 +106,17 @@ def derived_seed(seed: int, n_index: int, rep_index: int) -> int:
 
 
 def _one_replication(args) -> dict:
-    cfg, n_index, rep_index = args
-    dist = cfg.distribution
-    n = cfg.n_grid[n_index]
-    data = sample(dist, n, derived_seed(cfg.seed, n_index, rep_index))
+    cfg, dist, fit_cfg, n, seed = args
+    data = sample(dist, n, seed)
     try:
-        res = fit(data, FitConfig(s=cfg.s, grad_tol=cfg.fit_grad_tol))
+        res = fit(data, fit_cfg)
     except Exception as exc:  # pragma: no cover - solver failures are data
         return {"converged": False, "error": repr(exc)}
     out = {"converged": bool(res.converged)}
-    if "hellinger" in cfg.metrics or "l1" in cfg.metrics:
-        if "hellinger" in cfg.metrics:
-            out["hellinger"] = hellinger(res.density, dist)
-        if "l1" in cfg.metrics:
-            out["l1"] = l1_distance(res.density, dist)
+    if "hellinger" in cfg.metrics:
+        out["hellinger"] = hellinger(res.density, dist)
+    if "l1" in cfg.metrics:
+        out["l1"] = l1_distance(res.density, dist)
     if "loglr" in cfg.metrics:
         out["loglr"] = loglik_ratio(res, dist, data)
     if "sup_compact" in cfg.metrics:
@@ -136,9 +133,12 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     work items and may run in parallel (``cfg.jobs``).  Fit cost grows with n,
     so tasks run largest n first, replications ascending within each n, and
     the pool hands them out one at a time: the longest fits start first and
-    the short ones fill in behind them.  Non-converged fits are excluded from
-    the tables, each with a record in ``exclusions``, ordered by (n,
-    replication); more than 5% of them flags the study.
+    the short ones fill in behind them.  The truth, the fit configuration and
+    every replication's seed are made once per study and travel with the
+    tasks.  Non-converged fits are excluded from the tables, each with a
+    record in ``exclusions``, ordered by (n, replication); more than 5% of
+    them flags the study.  Quartiles are taken over each row's finite entries
+    (``_quartiles``).
     """
     dist = cfg.distribution
     grid = np.linspace(*(dist.support if math.isfinite(dist.support[0])
@@ -146,8 +146,10 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     if not check_s_concavity(lambda x: float(dist.pdf(x)), cfg.s, grid):
         raise ValueError(
             f"{cfg.true_density} is not s-concave for s = {cfg.s}")
-    tasks = [(cfg, i, j)
-             for i in reversed(range(len(cfg.n_grid))) for j in range(cfg.replications)]
+    fit_cfg = FitConfig(s=cfg.s, grad_tol=cfg.fit_grad_tol)
+    cells = [(i, j) for i in reversed(range(len(cfg.n_grid))) for j in range(cfg.replications)]
+    seeds = [derived_seed(cfg.seed, i, j) for i, j in cells]
+    tasks = [(cfg, dist, fit_cfg, cfg.n_grid[i], seed) for (i, _), seed in zip(cells, seeds)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_one_replication, tasks, chunksize=1))
@@ -158,10 +160,9 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     raw = {m: np.full(shape, np.nan) for m in cfg.metrics}
     sup_phat = np.full(shape, np.nan) if "sup_compact" in cfg.metrics else None
     exclusions = []
-    for ((_, i, j), res) in zip(tasks, results):
+    for (i, j), seed, res in zip(cells, seeds, results):
         if not res.get("converged", False):
-            exclusions.append({"n": cfg.n_grid[i], "replication": j,
-                               "seed": derived_seed(cfg.seed, i, j),
+            exclusions.append({"n": cfg.n_grid[i], "replication": j, "seed": seed,
                                "error": res.get("error", "not converged")})
             continue
         for m in cfg.metrics:
@@ -174,20 +175,8 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
 
     quantiles: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
     slopes: Dict[str, Tuple[float, float]] = {}
-    complete = [m for m in cfg.metrics if np.isfinite(raw[m]).all()]
-    tables = {}
-    if complete:  # every row of every complete table in one call
-        stacked = np.percentile(np.stack([raw[m] for m in complete]), [25, 50, 75], axis=2)
-        tables = dict(zip(complete, stacked.transpose(1, 2, 0)))
     for m in cfg.metrics:
-        if m not in tables:
-            rows = []
-            for vals in raw[m]:
-                vals = vals[np.isfinite(vals)]
-                rows.append(np.percentile(vals, [25, 50, 75]) if vals.size
-                            else (math.nan, math.nan, math.nan))
-            tables[m] = rows
-        per_n = {n: tuple(float(q) for q in row) for n, row in zip(cfg.n_grid, tables[m])}
+        per_n = dict(zip(cfg.n_grid, _quartiles(raw[m])))
         quantiles[m] = per_n
         try:
             slopes[m] = fit_slope(cfg.n_grid, [q50 for _, q50, _ in per_n.values()])
@@ -198,27 +187,58 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
                            sup_phat=sup_phat, exclusions=exclusions)
 
 
+def _quartiles(table: np.ndarray) -> List[Tuple[float, float, float]]:
+    """25th, 50th and 75th percentiles of each row's finite entries.
+
+    np.percentile's linear method, bit for bit: the value at fractional
+    rank t = q (k - 1) of the k sorted entries is a + (b - a) t below
+    t = 1/2 and b - (b - a)(1 - t) from it on.  A row with no finite entry
+    gives NaN.
+    """
+    out = []
+    for row in table.tolist():
+        vals = sorted(v for v in row if math.isfinite(v))
+        k = len(vals)
+        if k <= 1:
+            out.append(tuple(vals * 3) if vals else (math.nan,) * 3)
+            continue
+        qs = []
+        for q in (0.25, 0.5, 0.75):
+            rank = q * (k - 1)
+            i = int(rank)
+            t = rank - i
+            a, b = vals[i], vals[min(i + 1, k - 1)]
+            qs.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+        out.append(tuple(qs))
+    return out
+
+
 def fit_slope(ns: Sequence[float], errors: Sequence[float]
               ) -> Tuple[float, float]:
-    """Least-squares slope (with standard error) of log error against log n."""
-    ns = np.asarray(ns, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    keep = np.isfinite(errors) & (errors > 0) & (ns > 0)
-    if keep.sum() < len(errors):
+    """Least-squares slope (with standard error) of log error against log n.
+
+    On Python floats: the grids are a handful of points.
+    """
+    if len(ns) != len(errors):
+        raise ValueError("ns and errors must have the same length")
+    pairs = [(float(n), float(e)) for n, e in zip(ns, errors)]
+    kept = [(n, e) for n, e in pairs if math.isfinite(e) and e > 0 and n > 0]
+    if len(kept) < len(pairs):
         import warnings
-        warnings.warn(f"dropping {len(errors) - int(keep.sum())} nonpositive "
+        warnings.warn(f"dropping {len(pairs) - len(kept)} nonpositive "
                       "error values from the slope fit", stacklevel=2)
-    ns, errors = ns[keep], errors[keep]
-    if ns.size < 3:
+    if len(kept) < 3:
         raise ValueError("need at least 3 positive (n, error) pairs")
-    x, y = np.log(ns), np.log(errors)
-    xc = x - x.mean()
-    sxx = float(np.dot(xc, xc))
+    x = [math.log(n) for n, _ in kept]
+    y = [math.log(e) for _, e in kept]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    xc = [xi - x_mean for xi in x]
+    sxx = sum(c * c for c in xc)
     if sxx == 0.0:
         raise ValueError("need at least 2 distinct n")
-    slope = float(np.dot(xc, y)) / sxx
-    resid = y - y.mean() - slope * xc
-    return slope, math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
+    slope = sum(c * yi for c, yi in zip(xc, y)) / sxx
+    resid = [yi - y_mean - slope * c for c, yi in zip(xc, y)]
+    return slope, math.sqrt(sum(r * r for r in resid) / (len(x) - 2) / sxx)
 
 
 def consistency_diagnostics(fit_result: FitResult, p0,

@@ -29,6 +29,49 @@ class TestFitSlope:
             slope, _ = fit_slope([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.25])
         assert math.isfinite(slope)
 
+    def test_matches_the_numpy_formula(self):
+        def reference_fit(ns, errors):
+            x, y = np.log(np.asarray(ns, dtype=float)), np.log(np.asarray(errors, dtype=float))
+            xc = x - x.mean()
+            sxx = float(np.dot(xc, xc))
+            slope = float(np.dot(xc, y)) / sxx
+            resid = y - y.mean() - slope * xc
+            return slope, math.sqrt(float(np.dot(resid, resid)) / (x.size - 2) / sxx)
+
+        # geometric grids, as studies use; the sums run in another order than
+        # numpy's, so agreement is to rounding, within 1e-14 of values of order 1
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            k = int(rng.integers(3, 9))
+            ns = np.round(rng.uniform(20, 400) * rng.uniform(1.5, 4) ** np.arange(k))
+            errors = 3.0 * ns ** rng.uniform(-1, -0.2) * np.exp(rng.normal(scale=0.2, size=k))
+            got = fit_slope(ns, errors)
+            want = reference_fit(ns, errors)
+            assert abs(got[0] - want[0]) <= 1e-14 * abs(want[0])
+            assert abs(got[1] - want[1]) <= 1e-14 * max(1.0, want[1])
+
+    def test_rejects_unequal_lengths_and_a_single_n(self):
+        with pytest.raises(ValueError):
+            fit_slope([10, 20, 40], [1.0, 0.5])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_slope([10, 10, 10], [1.0, 0.5, 0.25])
+
+
+class TestQuartiles:
+    def test_match_percentile_bit_for_bit(self):
+        from sconcave.rate_harness import _quartiles
+        rng = np.random.default_rng(8)
+        table = rng.lognormal(size=(60, 13))
+        table[rng.random(table.shape) < 0.3] = np.nan
+        table[rng.random(table.shape) < 0.05] = np.inf
+        table[:13] = np.where(np.arange(13) < np.arange(13)[:, None], table[:13], np.nan)
+        for row, got in zip(table, _quartiles(table)):
+            vals = row[np.isfinite(row)]
+            if vals.size == 0:
+                assert all(math.isnan(q) for q in got)
+            else:
+                assert got == tuple(float(q) for q in np.percentile(vals, [25, 50, 75]))
+
 
 class TestRateEquation:
     def test_entropy_integral_closed_form(self, entropy_integral_quadrature):
@@ -127,6 +170,35 @@ class TestStudyMechanics:
         assert np.isnan(row[0]) and np.all(np.isfinite(row[1:]))
         want = np.percentile(row[1:], [25, 50, 75])
         assert res.quantiles["hellinger"][100] == tuple(float(q) for q in want)
+
+    def test_all_excluded_row_is_nan_and_left_out_of_the_slope(self, monkeypatch):
+        from sconcave import rate_harness
+
+        def failing_at_100(data, cfg):
+            if data.size == 100:
+                raise RuntimeError("solver failure")
+            return fit(data, cfg)
+
+        monkeypatch.setattr(rate_harness, "fit", failing_at_100)
+        cfg = RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100, 200, 400, 800),
+                              replications=2, seed=5, metrics=("hellinger",))
+        with pytest.warns(UserWarning, match="dropping 1"):
+            res = run_rate_study(cfg)
+        assert res.excluded == 2
+        q = res.quantiles["hellinger"]
+        assert all(math.isnan(v) for v in q[100])
+        want = fit_slope(cfg.n_grid[1:], [q[n][1] for n in cfg.n_grid[1:]])
+        assert res.slopes["hellinger"] == want
+
+    def test_four_replications_interpolate_like_percentile(self):
+        # ranks 0.75, 1.5 and 2.25 of 4: both interpolation branches and t = 1/2
+        cfg = RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100, 200, 400),
+                              replications=4, seed=8, metrics=("hellinger", "l1"))
+        res = run_rate_study(cfg)
+        for m in cfg.metrics:
+            for i, n in enumerate(cfg.n_grid):
+                want = np.percentile(res.raw[m][i], [25, 50, 75])
+                assert res.quantiles[m][n] == tuple(float(v) for v in want)
 
     def test_exclusions_ordered_by_n_then_replication(self, monkeypatch):
         from sconcave import rate_harness
