@@ -35,6 +35,29 @@ _GL_W = 0.5 * _GL_W
 # Segment integrals: closed forms and their partials
 # ----------------------------------------------------------------------
 
+def _piecewise(near: np.ndarray, series: Callable, closed: Callable,
+               *args: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The tuple ``series(*args)`` on the entries under the mask ``near`` and
+    ``closed(*args)`` on the rest.
+
+    Each entry gets its branch's formula whatever else the arrays hold; a
+    branch that no entry needs is not evaluated, and the masked copies are
+    made only when both are.
+    """
+    if not near.any():
+        return closed(*args)
+    if near.all():
+        return series(*args)
+    far = ~near
+    outs = []
+    for on_near, on_far in zip(series(*(a[near] for a in args)),
+                               closed(*(a[far] for a in args))):
+        out = np.empty_like(args[0])
+        out[near], out[far] = on_near, on_far
+        outs.append(out)
+    return tuple(outs)
+
+
 def _exprel(d: np.ndarray, second: bool = False) -> Tuple[np.ndarray, ...]:
     """E(d) = (exp(d)-1)/d and its derivative, stable near d = 0.
 
@@ -42,25 +65,20 @@ def _exprel(d: np.ndarray, second: bool = False) -> Tuple[np.ndarray, ...]:
     closed form cancels to O(eps/d^2), so it switches to the series
     sum_k d^k / (k! (k+3)) below |d| = 0.05, where both err by about 1e-13.
     """
-    E = np.empty_like(d)
-    Ep = np.empty_like(d)
-    near = np.abs(d) < 1e-4
-    dn = d[near]
-    E[near] = 1.0 + dn / 2.0 + dn ** 2 / 6.0 + dn ** 3 / 24.0 + dn ** 4 / 120.0
-    Ep[near] = 0.5 + dn / 3.0 + dn ** 2 / 8.0 + dn ** 3 / 30.0
-    far = ~near
-    df = d[far]
-    E[far] = np.expm1(df) / df
-    Ep[far] = (np.exp(df) * (df - 1.0) + 1.0) / df ** 2
+    E, Ep = _piecewise(
+        np.abs(d) < 1e-4,
+        lambda dn: (1.0 + dn / 2.0 + dn ** 2 / 6.0 + dn ** 3 / 24.0 + dn ** 4 / 120.0,
+                    0.5 + dn / 3.0 + dn ** 2 / 8.0 + dn ** 3 / 30.0),
+        lambda df: (np.expm1(df) / df, (np.exp(df) * (df - 1.0) + 1.0) / df ** 2),
+        d)
     if not second:
         return E, Ep
-    Epp = np.empty_like(d)
-    near = np.abs(d) < 0.05
-    dn = d[near]
-    Epp[near] = 1.0 / 3.0 + dn * (1.0 / 4.0 + dn * (1.0 / 10.0 + dn * (
-        1.0 / 36.0 + dn * (1.0 / 168.0 + dn * (1.0 / 960.0 + dn / 6480.0)))))
-    df = d[~near]
-    Epp[~near] = (np.expm1(df) * (df * (df - 2.0) + 2.0) + df * (df - 2.0)) / df ** 3
+    Epp, = _piecewise(
+        np.abs(d) < 0.05,
+        lambda dn: (1.0 / 3.0 + dn * (1.0 / 4.0 + dn * (1.0 / 10.0 + dn * (
+            1.0 / 36.0 + dn * (1.0 / 168.0 + dn * (1.0 / 960.0 + dn / 6480.0))))),),
+        lambda df: ((np.expm1(df) * (df * (df - 2.0) + 2.0) + df * (df - 2.0)) / df ** 3,),
+        d)
     return E, Ep, Epp
 
 
@@ -75,39 +93,39 @@ def _power_mean_g(ratio: np.ndarray, q: float, second: bool = False
     |rho| = 1e-2 the series sum_k q (q-1) ... (q-k-1) rho^k / (k! (k+3)) is used.
     """
     rho = ratio - 1.0
-    g = np.empty_like(rho)
-    gp = np.empty_like(rho)
-    near = np.abs(rho) < 1e-4
-    rn = rho[near]
-    g[near] = (1.0 + q * rn / 2.0 + q * (q - 1.0) * rn ** 2 / 6.0
-               + q * (q - 1.0) * (q - 2.0) * rn ** 3 / 24.0)
-    gp[near] = (q / 2.0 + q * (q - 1.0) * rn / 3.0
-                + q * (q - 1.0) * (q - 2.0) * rn ** 2 / 8.0)
-    far = ~near
-    rf, af = rho[far], ratio[far]
-    if q == -1.0:
-        g[far] = np.log(af) / rf
-        gp[far] = (rf / af - np.log(af)) / rf ** 2
-    else:
-        g[far] = (np.power(af, q + 1.0) - 1.0) / (rf * (q + 1.0))
-        gp[far] = (np.power(af, q) * rf * (q + 1.0)
-                   - (np.power(af, q + 1.0) - 1.0)) / (rf ** 2 * (q + 1.0))
+
+    def closed(rf, af):
+        if q == -1.0:
+            return np.log(af) / rf, (rf / af - np.log(af)) / rf ** 2
+        return ((np.power(af, q + 1.0) - 1.0) / (rf * (q + 1.0)),
+                (np.power(af, q) * rf * (q + 1.0)
+                 - (np.power(af, q + 1.0) - 1.0)) / (rf ** 2 * (q + 1.0)))
+
+    g, gp = _piecewise(
+        np.abs(rho) < 1e-4,
+        lambda rn, an: (1.0 + q * rn / 2.0 + q * (q - 1.0) * rn ** 2 / 6.0
+                        + q * (q - 1.0) * (q - 2.0) * rn ** 3 / 24.0,
+                        q / 2.0 + q * (q - 1.0) * rn / 3.0
+                        + q * (q - 1.0) * (q - 2.0) * rn ** 2 / 8.0),
+        closed, rho, ratio)
     if not second:
         return g, gp
-    gpp = np.empty_like(rho)
-    near = np.abs(rho) < 1e-2
-    coefs, falling, fact = [], q * (q - 1.0), 1.0
-    for k in range(7):
-        coefs.append(falling / (fact * (k + 3.0)))
-        falling *= q - k - 2.0
-        fact *= k + 1.0
-    rn = rho[near]
-    acc = np.full_like(rn, coefs[-1])
-    for c in reversed(coefs[:-1]):
-        acc = acc * rn + c
-    gpp[near] = acc
-    rf = rho[~near]
-    gpp[~near] = (q * np.power(ratio[~near], q - 1.0) - 2.0 * gp[~near]) / rf
+
+    def series(rn, an, gpn):
+        coefs, falling, fact = [], q * (q - 1.0), 1.0
+        for k in range(7):
+            coefs.append(falling / (fact * (k + 3.0)))
+            falling *= q - k - 2.0
+            fact *= k + 1.0
+        acc = np.full_like(rn, coefs[-1])
+        for c in reversed(coefs[:-1]):
+            acc = acc * rn + c
+        return acc,
+
+    gpp, = _piecewise(
+        np.abs(rho) < 1e-2, series,
+        lambda rf, af, gpf: ((q * np.power(af, q - 1.0) - 2.0 * gpf) / rf,),
+        rho, ratio, gp)
     return g, gp, gpp
 
 

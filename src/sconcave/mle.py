@@ -120,6 +120,12 @@ class _Problem:
         return self.knots.size
 
     @cached_property
+    def affine_generators(self) -> Tuple[Tuple[np.ndarray, float], ...]:
+        """The tangent cone's affine directions 1 and x - mean(x), each with its length."""
+        x = self.knots
+        return tuple((d, float(np.linalg.norm(d))) for d in (np.ones(x.size), x - x.mean()))
+
+    @cached_property
     def hinge_norm(self) -> np.ndarray:
         """Length over the knots of each interior hinge (x - x_j)_+, knot k + 1 at k."""
         x = self.knots
@@ -218,8 +224,8 @@ def _certify(prob: _Problem, grad: np.ndarray, kinks: np.ndarray
     """
     x = prob.knots
     kkt = 0.0
-    for d in (np.ones(x.size), x - x.mean()):
-        kkt = max(kkt, abs(float(np.dot(grad, d))) / float(np.linalg.norm(d)))
+    for d, norm in prob.affine_generators:
+        kkt = max(kkt, abs(float(np.dot(grad, d))) / norm)
     picked = []
     if x.size >= 3:
         down = -_hinge_rates(prob, grad)
@@ -275,32 +281,31 @@ def _without(a: np.ndarray, k: int) -> np.ndarray:
 class _ActiveSet:
     """A kink set and the objective restricted to it (kink space).
 
-    phi is linear between kinks, so knot i on kink segment seg[i] with
-    barycentric weight lam[i] has value (1 - lam) u[seg] + lam u[seg + 1] for
-    kink values u.  The knot-to-kink map T is never formed.  The constructor
-    builds a set over all knots; ``drop`` and ``insert`` change the set in
-    place and rewrite only the knots of the segments they touch (plus a shift
-    of the later segment indices), with the same operations in the same order
-    as a fresh build, so the result is bit-identical to one.
+    phi is linear between kinks, so knot i on kink segment seg[i], at offset
+    off[i] = x_i - xk[seg] with barycentric weight lam[i] = off / dxk[seg], has
+    value (1 - lam) u[seg] + lam u[seg + 1] for kink values u.  The
+    knot-to-kink map T is never formed.  At s = 0 the data term is linear and
+    each kink keeps its right- and left-segment weight sums.  Otherwise the
+    C-contiguous (5, n) array ``wts`` holds the per-knot weights w om, w lam,
+    w om^2, w lam^2 and w lam om (om = 1 - lam), so one stacked segment sum
+    gives the data term's gradient and tridiagonal Hessian.  The constructor
+    fills these over all knots with ``_refit``; ``drop`` and ``insert`` change
+    the set in place and run ``_refit`` on the knots of the segments they
+    touch only (plus a shift of the later segment indices), so the result is
+    bit-identical to a fresh build.
     """
 
     def __init__(self, prob: _Problem, kinks: np.ndarray):
         self.prob = prob
         self._set_kinks(np.unique(np.concatenate(([0, prob.n_knots - 1], kinks))))
-        x = prob.knots
-        m = self.kinks.size
-        self.seg = np.minimum(np.searchsorted(self.xk, x, side="right") - 1, m - 2)
-        self.lam = (x - self.xk[self.seg]) / self.dxk[self.seg]
-        self.om = 1.0 - self.lam
-        w = prob.weights
+        n, m = prob.n_knots, self.kinks.size
+        self.seg = np.empty(n, dtype=np.intp)
+        self.off = np.empty(n)
         if prob.s == 0:
-            # the weights each kink gets from its right-hand and its left-hand
-            # segment; they sum to the data term's gradient
-            self._w_right = np.bincount(self.seg, w * self.om, minlength=m)
-            self._w_left = np.bincount(self.seg + 1, w * self.lam, minlength=m)
+            self._w_right, self._w_left = np.zeros(m), np.zeros(m)
         else:
-            self.hess_w = (w * self.om * self.om, w * self.lam * self.lam,
-                           w * self.lam * self.om)
+            self.wts = np.empty((5, n))
+        self._refit(0, m - 2)
 
     def _set_kinks(self, kinks: np.ndarray) -> None:
         self.kinks = kinks
@@ -315,23 +320,22 @@ class _ActiveSet:
         return int(self.kinks[a]), int(end)
 
     def _refit(self, a: int, b: int) -> None:
-        """Rewrite seg, lam, om and the data weights on the knots of segments a..b."""
+        """Rewrite seg, off and the data weights on the knots of segments a..b."""
         i0, i1 = self._knot_span(a, b)
         ends = self.kinks[a:b + 2].copy()
         ends[-1] = i1
         seg = np.repeat(np.arange(a, b + 1), np.diff(ends))
-        x = self.prob.knots[i0:i1]
-        lam = (x - self.xk[seg]) / self.dxk[seg]
+        off = self.prob.knots[i0:i1] - self.xk[seg]
+        lam = off / self.dxk[seg]
         om = 1.0 - lam
-        self.seg[i0:i1], self.lam[i0:i1], self.om[i0:i1] = seg, lam, om
+        self.seg[i0:i1], self.off[i0:i1] = seg, off
         w = self.prob.weights[i0:i1]
         if self.prob.s == 0:
-            # summed in knot order, as the full build's bincount sums them
             self._w_right[a:b + 1] = np.bincount(seg - a, w * om, minlength=b - a + 1)
             self._w_left[a + 1:b + 2] = np.bincount(seg - a, w * lam, minlength=b - a + 1)
         else:
-            for h, new in zip(self.hess_w, (w * om * om, w * lam * lam, w * lam * om)):
-                h[i0:i1] = new
+            wo, wl = w * om, w * lam
+            self.wts[:, i0:i1] = (wo, wl, wo * om, wl * lam, wl * om)
 
     def drop(self, k: int) -> None:
         """Remove interior kink k: segments k - 1 and k merge."""
@@ -365,14 +369,13 @@ class _ActiveSet:
         """T^T w at s = 0: the data term is linear, so this is its gradient."""
         return self._w_right + self._w_left
 
-    def _pull_back(self, r: np.ndarray) -> np.ndarray:
-        """T^T r for a per-knot vector r."""
-        m = self.kinks.size
-        return (np.bincount(self.seg, r * self.om, minlength=m)
-                + np.bincount(self.seg + 1, r * self.lam, minlength=m))
-
     def expand(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(self.prob.knots, self.xk, u)
+        """phi at every knot: ``np.interp(knots, xk, u)``, bit for bit, from the
+        stored offsets."""
+        seg = self.seg
+        v = ((u[1:] - u[:-1]) / self.dxk)[seg] * self.off + u[seg]
+        v[-1] = u[-1]
+        return v
 
     def value_grad_hess(self, u: np.ndarray
                         ) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray],
@@ -380,7 +383,10 @@ class _ActiveSet:
         """Objective, gradient and tridiagonal Hessian in kink space.
 
         Returns (value, grad, diag, off) with off the superdiagonal; the value
-        is -inf (and the rest None) outside the domain of the objective.
+        is -inf (and the rest None) outside the domain of the objective.  At
+        s != 0 that includes any kink value outside h's capped range [lo, hi]:
+        every knot value is a convex combination of kink values, so checking
+        the m kinks decides it before the pass over the n knots.
         """
         s = self.prob.s
         m = u.size
@@ -391,17 +397,27 @@ class _ActiveSet:
                 diag = np.zeros(m)
                 off = np.zeros(m - 1)
             else:
+                uu = u.tolist()
+                if not self.prob.lo <= min(uu) <= max(uu) <= self.prob.hi:
+                    return -math.inf, None, None, None
                 v = self.expand(u)
-                w = self.prob.weights
-                term1 = float(np.dot(w, np.log(-v if s < 0 else v)) * (1.0 / s))
+                term1 = float(np.dot(self.prob.weights, np.log(-v if s < 0 else v)) * (1.0 / s))
                 # first and second v-derivatives of log h(v) = log(|v|) / s
                 r = 1.0 / (s * v)
                 c = -r / v
-                grad = self._pull_back(r * w)
-                w_ll, w_rr, w_lr = self.hess_w
-                diag = (np.bincount(self.seg, c * w_ll, minlength=m)
-                        + np.bincount(self.seg + 1, c * w_rr, minlength=m))
-                off = np.bincount(self.seg, c * w_lr, minlength=m - 1)
+                # one stacked segment sum: rows r w om, r w lam, then c times
+                # the three Hessian weights
+                prod = np.empty_like(self.wts)
+                np.multiply(self.wts[:2], r, out=prod[:2])
+                np.multiply(self.wts[2:], c, out=prod[2:])
+                sums = np.add.reduceat(prod, self.kinks[:-1], axis=1)
+                grad = np.zeros(m)
+                grad[:-1] = sums[0]
+                grad[1:] += sums[1]
+                diag = np.zeros(m)
+                diag[:-1] = sums[2]
+                diag[1:] += sums[3]
+                off = sums[4]
             seg, d_l, d_r, d_ll, d_lr, d_rr = _segment_partials(
                 self.dxk, u[:-1], u[1:], s, second=True)
         total = float(np.sum(seg))
@@ -482,12 +498,13 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, b: np.ndarray
 
     An O(m) L D L^T factorization in LAPACK ``ptsv``'s operation order, so
     the result matches ``scipy.linalg.solveh_banded`` bit for bit.  Returns
-    None when A is not positive definite; raises ValueError on a non-finite
-    input.
+    None when A is not positive definite or the solution is not finite;
+    raises ValueError on a non-finite input.  Runs on Python floats: m is
+    small, so numpy's per-call overhead would dominate.
     """
-    if not all(np.all(np.isfinite(a)) for a in (d, e, b)):
-        raise ValueError("array must not contain infs or NaNs")
     d, e, x = d.tolist(), e.tolist(), b.tolist()
+    if not all(map(math.isfinite, d + e + x)):
+        raise ValueError("array must not contain infs or NaNs")
     m = len(d)
     for i in range(m - 1):
         if not d[i] > 0:
@@ -502,6 +519,8 @@ def _solve_tridiagonal(d: np.ndarray, e: np.ndarray, b: np.ndarray
     x[m - 1] = x[m - 1] / d[m - 1]
     for i in range(m - 2, -1, -1):
         x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    if not all(map(math.isfinite, x)):
+        return None
     return np.asarray(x)
 
 
@@ -540,8 +559,7 @@ def _reduced_newton(active: _ActiveSet, u: np.ndarray, inner_tol: float, budget:
         trial = damping
         for _ in range(8):
             cand = _solve_tridiagonal(trial * scale_h - diag, -off, grad)
-            if (cand is not None and np.all(np.isfinite(cand))
-                    and float(np.dot(cand, grad)) > 0):
+            if cand is not None and float(np.dot(cand, grad)) > 0:
                 du, damping = cand, max(trial * 0.3, 1e-10)
                 break
             trial *= 100.0
