@@ -14,8 +14,7 @@ from .mle import (FitConfig, FitResult, demonstrate_nonexistence, fit,
 from .rate_harness import (RateStudyConfig, RateStudyResult,
                            consistency_diagnostics, fit_slope,
                            rate_equation_check, run_rate_study)
-from .transforms import (Transform, check_assumptions, check_s_concavity,
-                         generalized_mean, nesting_check)
+from .transforms import Transform, check_assumptions, check_s_concavity
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,5 @@ __all__ = [
     "loglik_ratio", "objective",
     "RateStudyConfig", "RateStudyResult", "consistency_diagnostics",
     "fit_slope", "rate_equation_check", "run_rate_study",
-    "Transform", "check_assumptions", "check_s_concavity", "generalized_mean",
-    "nesting_check",
+    "Transform", "check_assumptions", "check_s_concavity",
 ]

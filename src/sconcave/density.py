@@ -447,6 +447,9 @@ def check_envelope(p: TransformedDensity, M: float, grid: Sequence[float]) -> bo
 def upper_bound_f(p: TransformedDensity, x0: float, x1: float, x: float) -> float:
     """Chord-based upper bound on p(x) from two interior evaluation points.
 
+    Reproduces the chord bound on h-concave densities of Doss & Wellner
+    (arXiv 1306.1438), a step toward their envelopes: with F the cdf of p,
+    ``p(x) <= h(phi(x0) - h(phi(x1)) (phi(x0) - phi(x1)) (x - x0) / (F(x) - F(x0)))``.
     Requires x0 < x1 < x (or the mirrored ordering) with strictly decreasing
     finite phi along the triple.
     """

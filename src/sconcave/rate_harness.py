@@ -46,6 +46,11 @@ class RateStudyConfig:
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
             raise ValueError(f"unknown metrics {bad}; choose from {METRICS}")
+        if "sup_compact" in self.metrics:
+            (lo, hi), (a, b) = self.compact, self.distribution.support
+            if not a < lo < hi < b:
+                raise ValueError(f"compact interval {self.compact} must have lo < hi "
+                                 f"and lie strictly inside the support {(a, b)}")
 
     @property
     def distribution(self) -> ReferenceDistribution:
@@ -143,7 +148,7 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     dist = cfg.distribution
     grid = np.linspace(*(dist.support if math.isfinite(dist.support[0])
                          else (-8.0, 8.0)), 41)
-    if not check_s_concavity(lambda x: float(dist.pdf(x)), cfg.s, grid):
+    if not check_s_concavity(dist.pdf, cfg.s, grid):
         raise ValueError(
             f"{cfg.true_density} is not s-concave for s = {cfg.s}")
     fit_cfg = FitConfig(s=cfg.s, grad_tol=cfg.fit_grad_tol)
@@ -265,35 +270,24 @@ def entropy_integral(K: float, delta: float) -> float:
     return (4.0 / 3.0) * math.sqrt(K) * delta ** 0.75
 
 
-def rate_equation_check(K: float, n_grid: Sequence[int],
-                        c_grid: Optional[Sequence[float]] = None) -> dict:
-    """Verify that r_n = c n^(2/5) solves the local-modulus inequality.
+def rate_equation_check(K: float, n_grid: Sequence[int]) -> dict:
+    """The largest c for which r_n = c n^(2/5) solves the local-modulus inequality.
 
-    With Psi(delta) = J(delta) (1 + J(delta)/(delta^2 sqrt(n))), report for
-    each n the admissible range of c with r_n^2 Psi(1/r_n) <= sqrt(n), and
-    the largest c admissible for every n.
+    With Psi(delta) = J(delta) (1 + J(delta)/(delta^2 sqrt(n))), the ratio
+    r_n^2 Psi(1/r_n) / sqrt(n) equals q + q^2 with q = (4/3) sqrt(K) c^(5/4)
+    at every n, so r_n^2 Psi(1/r_n) <= sqrt(n) holds iff q <= (sqrt(5) - 1)/2.
+    Returns that c as ``c_admissible`` and, per n, the ratio evaluated at it,
+    which is 1 up to rounding.
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    if c_grid is None:
-        # center the scan on the scale where the inequality turns over,
-        # q (1 + q) = 1 at q = (4/3) sqrt(K) c^(5/4)
-        c_pivot = (3.0 / (4.0 * math.sqrt(K))) ** 0.8
-        c_grid = np.geomspace(c_pivot * 1e-4, c_pivot * 1e4, 641)
-    c_grid = np.asarray(c_grid, dtype=float)
+    q_star = (math.sqrt(5.0) - 1.0) / 2.0
+    c_star = (3.0 * q_star / (4.0 * math.sqrt(K))) ** 0.8
     rows = []
-    admissible_all = np.ones(c_grid.shape, dtype=bool)
     for n in n_grid:
-        sqrt_n = math.sqrt(n)
-        ok = np.zeros(c_grid.shape, dtype=bool)
-        for k, c in enumerate(c_grid):
-            r_n = c * n ** 0.4
-            delta = 1.0 / r_n
-            J = entropy_integral(K, delta)
-            psi = J * (1.0 + J / (delta ** 2 * sqrt_n))
-            ok[k] = r_n ** 2 * psi <= sqrt_n
-        admissible_all &= ok
-        c_max = float(c_grid[ok].max()) if ok.any() else 0.0
-        rows.append({"n": int(n), "c_max": c_max})
-    c_star = float(c_grid[admissible_all].max()) if admissible_all.any() else 0.0
+        r_n = c_star * n ** 0.4
+        delta = 1.0 / r_n
+        J = entropy_integral(K, delta)
+        psi = J * (1.0 + J / (delta ** 2 * math.sqrt(n)))
+        rows.append({"n": int(n), "ratio": r_n ** 2 * psi / math.sqrt(n)})
     return {"per_n": rows, "c_admissible": c_star}

@@ -235,8 +235,9 @@ class TestRateEquation:
         j_err = max(abs(entropy_integral(K, d) - entropy_integral_quadrature(K, d))
                     / entropy_integral(K, d) for d in (0.1, 1.0))
         out = rate_equation_check(K, [100, 1000, 10_000, 100_000])
+        tight = all(abs(row["ratio"] - 1.0) <= 1e-12 for row in out["per_n"])
         report("rate equation r_n^2 Psi(1/r_n) <= sqrt(n)",
-               j_err <= 1e-10 and out["c_admissible"] > 0,
+               j_err <= 1e-10 and out["c_admissible"] > 0 and tight,
                f"J quadrature relative error {j_err:.2e} <= 1e-10; "
                f"admissible c = {out['c_admissible']:.3e} > 0 for all n in "
                "{1e2, 1e3, 1e4, 1e5}")

@@ -1,6 +1,8 @@
 """Rate studies at desk scale: determinism, slope fitting, rate-equation bookkeeping."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,7 +89,33 @@ class TestRateEquation:
         # the closed-form threshold solves q(1+q) = 1 with q = (4/3) sqrt(K) c^(5/4)
         q_star = (math.sqrt(5.0) - 1.0) / 2.0
         c_star = (q_star * 3.0 / 4.0) ** 0.8
-        assert out["c_admissible"] == pytest.approx(c_star, rel=0.05)
+        assert out["c_admissible"] == pytest.approx(c_star, rel=1e-14)
+
+    @pytest.mark.parametrize("K", [1.0, 3.7, 120.0])
+    def test_inequality_tight_at_every_n(self, K):
+        # r_n^2 Psi(1/r_n) / sqrt(n) does not depend on n: at c_admissible it
+        # is 1 up to rounding, possibly 1 + 1e-15, so the test is two-sided
+        ns = [100, 1000, 10_000, 100_000]
+        out = rate_equation_check(K, ns)
+        assert [row["n"] for row in out["per_n"]] == ns
+        for row in out["per_n"]:
+            assert abs(row["ratio"] - 1.0) <= 1e-12
+
+    def test_brute_force_scan_agrees(self):
+        # the last admissible point of a geometric scan of c lies at most
+        # one grid step below c_admissible, and not above it
+        K, ns = 3.7, [100, 10_000]
+        c_star = rate_equation_check(K, ns)["c_admissible"]
+        cs = np.geomspace(c_star * 1e-2, c_star * 1e2, 801)
+        step = cs[1] / cs[0]
+
+        def ok(c, n):
+            r = c * n ** 0.4
+            J = entropy_integral(K, 1.0 / r)
+            return r * r * J * (1.0 + J * r * r / math.sqrt(n)) <= math.sqrt(n)
+
+        best = max(c for c in cs if all(ok(c, n) for n in ns))
+        assert c_star / step * (1.0 - 1e-12) <= best <= c_star * (1.0 + 1e-12)
 
     def test_doubling_k_shrinks_range(self):
         ns = [100, 1000, 10_000]
@@ -263,6 +291,29 @@ class TestStudyMechanics:
             RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100,),
                             replications=1, seed=1, metrics=("nope",))
 
+    @pytest.mark.parametrize("name,compact", [
+        ("uniform", (-1.0, 1.0)),   # reaches outside [0, 1]
+        ("uniform", (0.0, 0.5)),    # touches the support's end
+        ("laplace", (1.0, -1.0)),   # reversed
+        ("laplace", (0.5, 0.5)),    # empty
+    ])
+    def test_config_rejects_unusable_compact(self, name, compact):
+        kwargs = dict(true_density=name, s=0.0, n_grid=(50, 100, 200),
+                      replications=2, seed=1,
+                      metrics=("hellinger", "sup_compact"), compact=compact)
+        with pytest.raises(ValueError, match="compact interval"):
+            RateStudyConfig(**kwargs)
+        d = RateStudyConfig(**{**kwargs, "metrics": ("hellinger",)}).to_dict()
+        d["metrics"] = ["hellinger", "sup_compact"]
+        with pytest.raises(ValueError, match="compact interval"):
+            RateStudyConfig.from_dict(d)
+
+    def test_config_accepts_interior_compact(self):
+        cfg = RateStudyConfig(true_density="uniform", s=0.0, n_grid=(100,),
+                              replications=1, seed=1, compact=(0.25, 0.75),
+                              metrics=("sup_compact",))
+        assert cfg.compact == (0.25, 0.75)
+
     def test_config_round_trip_rejects_unknown_keys(self):
         cfg = RateStudyConfig(true_density="laplace", s=0.0, n_grid=(100,),
                               replications=1, seed=1)
@@ -285,6 +336,18 @@ class TestStudyMechanics:
                     if f.default is not dataclasses.MISSING}
         assert all(getattr(cfg, k) != v for k, v in defaults.items())
         assert RateStudyConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_benchmark_wrapped_names_resolve():
+    # the traced benchmark wraps rate_harness attributes by name (getattr),
+    # so a name gone from rate_harness would break only the traced run
+    import sconcave.rate_harness as rate_harness
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "measure.py").read_text()
+    spans = [ast.literal_eval(node.value) for node in ast.parse(source).body
+             if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "RATE_SPANS" for t in node.targets)]
+    assert len(spans) == 1 and spans[0]
+    assert [name for name in spans[0] if not callable(getattr(rate_harness, name, None))] == []
 
 
 class TestConsistencyDiagnostics:

@@ -1,4 +1,4 @@
-"""Transform evaluation, inversion, the assumption table, and generalized means."""
+"""Transform evaluation, inversion, the assumption table, and the s-concavity test."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sconcave.density import reference
 from sconcave.transforms import (Transform, TransformDomainError, check_assumptions,
-                                 check_s_concavity, generalized_mean, nesting_check)
+                                 check_s_concavity)
 
 
 class TestConstruction:
@@ -125,7 +126,7 @@ class TestAssumptions:
 
 
 class TestGeneralizedMean:
-    def test_arithmetic_geometric_min(self):
+    def test_arithmetic_geometric_min(self, generalized_mean):
         assert generalized_mean(1.0, 2.0, 4.0, 0.5) == pytest.approx(3.0)
         assert generalized_mean(0.0, 1.0, 4.0, 0.5) == pytest.approx(2.0)
         assert generalized_mean(-math.inf, 2.0, 4.0, 0.3) == 2.0
@@ -133,21 +134,41 @@ class TestGeneralizedMean:
     @given(a=st.floats(0.01, 50.0), b=st.floats(0.01, 50.0),
            theta=st.floats(0.05, 0.95))
     @settings(max_examples=200, deadline=None)
-    def test_nondecreasing_in_s(self, a, b, theta):
+    def test_nondecreasing_in_s(self, generalized_mean, a, b, theta):
         ss = [-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0]
         vals = [generalized_mean(s, a, b, theta) for s in ss]
         assert all(v2 >= v1 - 1e-9 * max(1.0, v1)
                    for v1, v2 in zip(vals, vals[1:]))
 
-    def test_zero_handling(self):
-        assert generalized_mean(-0.5, 0.0, 3.0, 0.5) == 0.0
+    def test_zero_handling(self, generalized_mean):
+        # M_s(a, 0) = 0 at every s, also for s > 0, where the weighted power
+        # sum alone would give ((1-theta) a^s)^(1/s) > 0
+        for s in (-math.inf, -0.5, 0.0, 0.5, 2.0):
+            assert generalized_mean(s, 0.0, 3.0, 0.5) == 0.0
+            assert generalized_mean(s, 3.0, 0.0, 0.25) == 0.0
+
+
+# The reference laws and indices s of the rate-study truth check
+LAWS = [("gaussian", 3.0), ("laplace", 3.0), ("uniform", 3.0),
+        ("pareto", 1.5), ("pareto", 3.0), ("pareto", 5.0)]
+S_GRID = [-0.99, -0.9, -2.0 / 3.0, -0.6, -0.5, -1.0 / 3.0, -0.33, -0.25, -0.2,
+          -0.1, 0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
+
+
+def study_grid(dist):
+    """The 41-point grid on which ``run_rate_study`` checks its truth."""
+    lo, hi = dist.support if math.isfinite(dist.support[0]) else (-8.0, 8.0)
+    return np.linspace(lo, hi, 41)
+
+
+def uniform01(x):
+    return 1.0 if 0.0 <= x <= 1.0 else 0.0
 
 
 class TestSConcavity:
     def test_uniform_any_s(self):
-        p = lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0
         grid = np.linspace(0.01, 0.99, 21)
-        assert check_s_concavity(p, -0.5, grid)
+        assert check_s_concavity(uniform01, -0.5, grid)
 
     def test_gaussian_log_concave(self):
         p = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
@@ -158,25 +179,77 @@ class TestSConcavity:
         p = lambda x: 0.5 * c(x - 5.0) + 0.5 * c(x + 5.0)
         assert not check_s_concavity(p, 0.0, np.linspace(-10, 10, 31))
 
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_uniform_positive_s_with_zeros(self, s):
+        # the uniform density is s-concave for every s; the grid reaches
+        # outside its support, where p = 0
+        assert check_s_concavity(uniform01, s, np.linspace(-0.5, 1.5, 41))
+
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5])
+    def test_support_not_an_interval_fails(self, s, s_concavity_scan):
+        p = lambda x: 1.0 if 0.0 <= x <= 1.0 or 2.0 <= x <= 3.0 else 0.0
+        grid = np.linspace(-0.5, 3.5, 41)
+        assert not check_s_concavity(p, s, grid)
+        assert not s_concavity_scan(p, s, grid)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="3 points"):
+            check_s_concavity(uniform01, 0.0, [0.2, 0.4])
+        with pytest.raises(ValueError, match="increasing"):
+            check_s_concavity(uniform01, 0.0, [0.2, 0.6, 0.4])
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_s_concavity(lambda x: x, 0.0, [-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="vanishes"):
+            check_s_concavity(uniform01, 0.0, [2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("name,beta", LAWS)
+    def test_agrees_with_pairwise_scan(self, name, beta, s_concavity_scan):
+        dist = reference(name, beta)
+        grid = study_grid(dist)
+        got = [check_s_concavity(dist.pdf, s, grid) for s in S_GRID]
+        want = [s_concavity_scan(dist.pdf, s, grid) for s in S_GRID]
+        assert got == want
+
+    @pytest.mark.parametrize("name,beta,s_pass,s_fail", [
+        ("pareto", 3.0, -1.0 / 3.0, -0.33),
+        ("pareto", 1.5, -2.0 / 3.0, -0.6),
+        ("gaussian", 3.0, 0.0, 0.05),
+        ("laplace", 3.0, 0.0, 0.05),
+    ])
+    def test_index_boundaries(self, name, beta, s_pass, s_fail, s_concavity_scan):
+        # the largest s is -1/beta for Pareto and 0 for Gaussian and Laplace
+        dist = reference(name, beta)
+        grid = study_grid(dist)
+        for check in (check_s_concavity, s_concavity_scan):
+            assert check(dist.pdf, s_pass, grid)
+            assert not check(dist.pdf, s_fail, grid)
+
 
 class TestNesting:
+    # an s-concave density is r-concave for every r < s
     def test_gaussian_into_negative_class(self):
         p = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        assert nesting_check(p, -0.5, np.linspace(-4, 4, 101))
+        assert check_s_concavity(p, -0.5, np.linspace(-4, 4, 101))
 
     def test_uniform(self):
-        p = lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0
-        with pytest.warns(UserWarning):
-            assert nesting_check(p, -0.9, np.linspace(-0.5, 1.5, 41))
+        assert check_s_concavity(uniform01, -0.9, np.linspace(-0.5, 1.5, 41))
 
     def test_symmetric_pareto(self):
         p = lambda x: (1.0 + abs(x)) ** -3.0  # normalization is irrelevant here
-        assert nesting_check(p, -0.5, np.linspace(-6, 6, 201))
+        assert check_s_concavity(p, -0.5, np.linspace(-6, 6, 201))
 
     def test_bimodal_fails(self):
         c = lambda x: 1.0 / (math.pi * (1.0 + x * x))
         p = lambda x: 0.5 * c(x - 5.0) + 0.5 * c(x + 5.0)
-        assert not nesting_check(p, -0.5, np.linspace(-10, 10, 101))
+        assert not check_s_concavity(p, -0.5, np.linspace(-10, 10, 101))
+
+    @pytest.mark.parametrize("name,beta", LAWS)
+    def test_passes_below_largest_s(self, name, beta):
+        dist = reference(name, beta)
+        grid = study_grid(dist)
+        verdicts = [check_s_concavity(dist.pdf, s, grid) for s in S_GRID]
+        top = max(s for s, ok in zip(S_GRID, verdicts) if ok)
+        assert all(ok for s, ok in zip(S_GRID, verdicts) if s <= top)
 
 
 class TestMonotonicity:
