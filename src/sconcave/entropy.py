@@ -204,7 +204,11 @@ class Bracket:
 
     def size_lr(self, r: float) -> float:
         """L_r size of the bracket: closed forms where pieces carry them,
-        Gauss-Legendre panels between the other pieces' breakpoints."""
+        Gauss-Legendre panels between the other pieces' breakpoints; at
+        r = inf the largest |u - l| at all the breakpoints."""
+        if r == math.inf:  # exact: sup-norm covers' sides are linear between them
+            _, low, up, _, _ = _sides_on(self.pieces, self._breakpoints[0])
+            return float(np.max(np.abs(up - low)))
         rest = [p for p in self.pieces if p.exact_size_r is None]
 
         def gap_r(x):  # |u - l|^r, summed over the pieces that hold x
@@ -782,13 +786,12 @@ def verify_bracketing(bset: BracketSet, members: Sequence[object]) -> Verificati
     covered = 0
     max_size = 0.0
     worst = None
-    r = bset.r if math.isfinite(bset.r) else 1.0
     for idx, member in enumerate(members):
         if density_space and getattr(member, "transform", None) is None:
             raise TypeError(f"member {idx} is a bare phi, but the class has a transform")
         bracket = bset.locate(member)
         covered += _covers(bracket, member)
-        size = bracket.size_lr(r)
+        size = bracket.size_lr(bset.r)
         if size > max_size:
             max_size = size
             worst = idx

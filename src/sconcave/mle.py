@@ -102,10 +102,14 @@ def _tail_sums(a: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """Penalized MLE objective on the knot-value parametrization."""
+    """Penalized MLE objective on the knot-value parametrization; the one
+    check of the data for ``fit`` and ``objective``."""
 
-    def __init__(self, data: np.ndarray, s: float):
-        knots, counts = np.unique(np.asarray(data, dtype=float), return_counts=True)
+    def __init__(self, data: Sequence[float], s: float):
+        arr = np.asarray(data, dtype=float)
+        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+            raise ValueError("data must be a nonempty 1-d sequence of finite numbers")
+        knots, counts = np.unique(arr, return_counts=True)
         if knots.size < 2:
             raise UnsupportedInstanceError("data must contain at least two distinct points")
         self.knots = knots
@@ -134,9 +138,6 @@ class _Problem:
                  + xj ** 2 * _tail_sums(np.ones(x.size)))
         return np.sqrt(np.maximum(norm2, 1e-300))
 
-    def feasible(self, v: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(v) & (self.lo <= v) & (v <= self.hi)))
-
     def value_and_grad(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
         """Objective mean-loglik-minus-integral and its gradient."""
         w, s = self.weights, self.s
@@ -164,13 +165,14 @@ def objective(values: Sequence[float], data: Sequence[float], s: float
 
     Knots are the sorted unique data points; ties contribute multiplicity
     weights.  ``values`` must match the unique-knot count and respect the
-    transform range.
+    transform range.  Raises ``ValueError`` when the data are not a nonempty
+    1-d sequence of finite numbers, or ``values`` do not fit them.
     """
-    prob = _Problem(np.asarray(data, dtype=float), s)
+    prob = _Problem(data, s)
     v = np.asarray(values, dtype=float)
     if v.shape != prob.knots.shape:
         raise ValueError(f"expected {prob.n_knots} values (unique data points)")
-    if not prob.feasible(v):
+    if not np.all(np.isfinite(v) & (prob.lo <= v) & (v <= prob.hi)):
         raise ValueError("values violate the transform range for this s")
     return prob.value_and_grad(v)
 
@@ -289,23 +291,26 @@ class _ActiveSet:
     C-contiguous (5, n) array ``wts`` holds the per-knot weights w om, w lam,
     w om^2, w lam^2 and w lam om (om = 1 - lam), so one stacked segment sum
     gives the data term's gradient and tridiagonal Hessian.  The constructor
-    fills these over all knots with ``_refit``; ``drop`` and ``insert`` change
-    the set in place and run ``_refit`` on the knots of the segments they
-    touch only (plus a shift of the later segment indices), so the result is
-    bit-identical to a fresh build.
+    and ``insert`` fill these over all knots (``_build``).  ``drop`` runs
+    inside Newton, so it updates in place: ``_refit`` on the merged segment's
+    knots and a shift of the later segment indices, bit-identical to a build.
     """
 
     def __init__(self, prob: _Problem, kinks: np.ndarray):
         self.prob = prob
-        self._set_kinks(np.unique(np.concatenate(([0, prob.n_knots - 1], kinks))))
-        n, m = prob.n_knots, self.kinks.size
+        n = prob.n_knots
         self.seg = np.empty(n, dtype=np.intp)
         self.off = np.empty(n)
-        if prob.s == 0:
-            self._w_right, self._w_left = np.zeros(m), np.zeros(m)
-        else:
+        if prob.s != 0:
             self.wts = np.empty((5, n))
-        self._refit(0, m - 2)
+        self._build(np.unique(np.concatenate(([0, n - 1], kinks))))
+
+    def _build(self, kinks: np.ndarray) -> None:
+        """Set the sorted kinks; fill seg, off and the data weights over all knots."""
+        self._set_kinks(kinks)
+        if self.prob.s == 0:
+            self._w_right, self._w_left = np.zeros(kinks.size), np.zeros(kinks.size)
+        self._refit(0, kinks.size - 2)
 
     def _set_kinks(self, kinks: np.ndarray) -> None:
         self.kinks = kinks
@@ -334,8 +339,12 @@ class _ActiveSet:
             self._w_right[a:b + 1] = np.bincount(seg - a, w * om, minlength=b - a + 1)
             self._w_left[a + 1:b + 2] = np.bincount(seg - a, w * lam, minlength=b - a + 1)
         else:
-            wo, wl = w * om, w * lam
-            self.wts[:, i0:i1] = (wo, wl, wo * om, wl * lam, wl * om)
+            wo, wl, wo2, wl2, wlo = self.wts[:, i0:i1]
+            np.multiply(w, om, out=wo)
+            np.multiply(w, lam, out=wl)
+            np.multiply(wo, om, out=wo2)
+            np.multiply(wl, lam, out=wl2)
+            np.multiply(wl, om, out=wlo)
 
     def drop(self, k: int) -> None:
         """Remove interior kink k: segments k - 1 and k merge."""
@@ -348,21 +357,8 @@ class _ActiveSet:
         self._refit(k - 1, k - 1)
 
     def insert(self, knots: np.ndarray) -> None:
-        """Add knot indices that are not kinks yet; each splits the segment it lies in."""
-        new = np.sort(knots)
-        pos = np.searchsorted(self.kinks, new)
-        # a segment keeps its knots and moves right past the kinks added before it
-        self.seg += np.searchsorted(new, self.kinks[:-1])[self.seg]
-        self._set_kinks(np.insert(self.kinks, pos, new))
-        if self.prob.s == 0:
-            self._w_right = np.insert(self._w_right, pos, 0.0)
-            self._w_left = np.insert(self._w_left, pos, 0.0)
-        at = (pos + np.arange(new.size)).tolist()  # indices of the new kinks
-        first = 0
-        for i in range(new.size):
-            if i + 1 == new.size or pos[i + 1] != pos[i]:
-                self._refit(at[first] - 1, at[i])  # the split segment's pieces
-                first = i + 1
+        """Add knot indices that are not kinks yet, and rebuild the set."""
+        self._build(np.union1d(self.kinks, knots))
 
     @property
     def data_grad(self) -> np.ndarray:
@@ -637,10 +633,6 @@ def fit(data: Sequence[float], cfg: FitConfig) -> FitResult:
         If the sample is too small for the class or degenerate.
     """
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("data must be a nonempty 1-d sequence")
-    if np.any(~np.isfinite(arr)):
-        raise ValueError("data must be finite")
     n_min = existence_threshold(cfg.s)
     if arr.size < n_min:
         raise UnsupportedInstanceError(

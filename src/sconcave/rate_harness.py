@@ -43,6 +43,9 @@ class RateStudyConfig:
             raise ValueError("n_grid must be nonempty and increasing")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.seed < 0 or self.jobs < 1 or not 0 < self.fit_grad_tol < math.inf:
+            raise ValueError("need seed >= 0, jobs >= 1 and a positive finite fit_grad_tol, "
+                             f"got {self.seed}, {self.jobs} and {self.fit_grad_tol}")
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
             raise ValueError(f"unknown metrics {bad}; choose from {METRICS}")

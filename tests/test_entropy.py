@@ -54,6 +54,16 @@ class TestLipschitzCover:
         assert sizes[1] <= sizes[0]
         assert sizes[0] / sizes[1] <= 4.0  # halving eps halves sizes within x2
 
+    def test_size_is_the_sup_gap_on_a_long_interval(self):
+        # a sup-norm cover was once sized in L1: on [0, 4] the eps/2 gap read
+        # 4 eps/2 = 0.2, above size_bound 0.1
+        bset = cover_lipschitz_concave(0, 4, 1, 1, 0.1)
+        members = sample_members(LipschitzConcaveClass(0, 4, 1, 1), 50, 3)
+        rep = verify_bracketing(bset, members)
+        assert rep.covered_fraction == 1.0
+        assert rep.max_observed_size == pytest.approx(0.05, rel=1e-12)
+        assert rep.max_observed_size <= bset.size_bound
+
     def test_exponent_band(self):
         curve = entropy_curve(LipschitzConcaveClass(0, 1, 1, 1),
                               [0.5, 0.25, 0.125, 0.0625], 1.0)

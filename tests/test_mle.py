@@ -1,6 +1,7 @@
 """MLE unit truths: oracles on tiny samples, gradients, equivariance, nonexistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ class TestObjective:
                           ([math.inf, 1.0], 0.5), ([math.inf, 1.0], 0.0)):
             with pytest.raises(ValueError):
                 objective(values, [0.0, 1.0], s)
+
+    @pytest.mark.parametrize("data", [[0.0, math.nan, 1.0], [0.0, math.inf, 1.0],
+                                      [[0.0, 0.5, 1.0]], []])
+    def test_rejects_data_that_fit_rejects(self, data):
+        # NaN and inf data gave (-inf, [nan, ...]); 2-d data were flattened
+        with pytest.raises(ValueError, match="finite"):
+            objective([0.0, 0.0, 0.0], data, 0.0)
+        with pytest.raises(ValueError):
+            fit(data, FitConfig(s=0.0))
 
     def test_stored_kernel_values(self, bench_fixture):
         # the benchmark's nine fixed objective points and their committed values
@@ -696,6 +706,30 @@ class TestKnownDefects:
         res = fit(sample(reference("laplace"), 3200, 3534249276), FitConfig(s=0.0))
         assert res.converged
         assert res.objective >= -2.699429676913 - 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="raw data units: the cap, pilot and step "
+                       "bounds do not scale with the data; ROADMAP item 14")
+    def test_large_scale_fit_converges(self):
+        # converged=False with KKT 7.0e8 after 3 evaluations
+        res = fit(np.random.default_rng(2).exponential(size=40) * 1e6, FitConfig(s=1.5))
+        assert res.converged
+
+    @pytest.mark.xfail(strict=True, reason="the hinge norm cancels when the location "
+                       "dwarfs the spread; ROADMAP item 14")
+    def test_offset_fit_converges(self):
+        # converged=False with KKT 5.3e135 after 29 evaluations
+        res = fit(np.random.default_rng(1).normal(size=40) * 1e-6 + 1e3, FitConfig(s=0.0))
+        assert res.converged
+
+    @pytest.mark.parametrize("data, s", [
+        (np.random.default_rng(1).exponential(size=40) * 1e-6, 1.5),
+        (np.random.default_rng(3).normal(size=40) * 1e6, -0.9)])
+    def test_rescaled_fit_converges_without_warnings(self, data, s):
+        # these fits once raised 26 and 14 RuntimeWarnings (ROADMAP item 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit(data, FitConfig(s=s))
+        assert res.converged
 
     def test_kink_value_at_zero_is_outside_the_domain(self):
         # a Newton trial put a kink value at exactly 0.0, above hi = -1e-10,

@@ -308,6 +308,20 @@ class TestStudyMechanics:
         with pytest.raises(ValueError, match="compact interval"):
             RateStudyConfig.from_dict(d)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("fit_grad_tol", 0.0), ("fit_grad_tol", -1e-7),
+        ("fit_grad_tol", math.inf), ("fit_grad_tol", math.nan), ("jobs", 0), ("jobs", -3)])
+    def test_config_rejects_a_study_it_cannot_run(self, field, value):
+        # a negative seed and a bad tolerance once raised only when the study
+        # ran; jobs < 1 ran serially
+        kwargs = dict(true_density="laplace", s=0.0, n_grid=(50, 100), replications=1, seed=1)
+        with pytest.raises(ValueError, match=field):
+            RateStudyConfig(**{**kwargs, field: value})
+        d = RateStudyConfig(**kwargs).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            RateStudyConfig.from_dict(d)
+
     def test_config_accepts_interior_compact(self):
         cfg = RateStudyConfig(true_density="uniform", s=0.0, n_grid=(100,),
                               replications=1, seed=1, compact=(0.25, 0.75),
