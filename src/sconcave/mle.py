@@ -293,7 +293,7 @@ class _ActiveSet:
     gives the data term's gradient and tridiagonal Hessian.  The constructor
     and ``insert`` fill these over all knots (``_build``).  ``drop`` runs
     inside Newton, so it updates in place: ``_refit`` on the merged segment's
-    knots and a shift of the later segment indices, bit-identical to a build.
+    knots and a shift of the later segment indices, bit-identical to a fresh build.
     """
 
     def __init__(self, prob: _Problem, kinks: np.ndarray):
